@@ -6,24 +6,12 @@ import numpy as np
 from aracodes.constructions import CATALOG, build_catalog_pair
 from aracodes.tilting import complexity, de_residual, design_rate
 
-REPRESENTATIVE_P = {
-    "self-matched-ara": 0.5,
-    "self-matched-nsira": 0.5,
-    "self-matched-aldpc": 0.5,
-    "bit-regular-ara": 0.2,
-    "check-regular-ara": 0.8,
-    "check-regular-nsira": 0.5,
-    "bit-regular-nsira": 0.07,
-    "bit-regular-aldpc": 0.5,
-    "check-regular-aldpc": 0.93,
-}
-
 
 def main():
     xs = np.linspace(0, 1, 1001)[1:]
     print(f"{'family':24} {'p':>6} {'rate':>8} {'chi_E':>9} {'chi_D':>9} {'max |resid|':>12}")
-    for name in sorted(CATALOG):
-        p = REPRESENTATIVE_P[name]
+    for name, entry in sorted(CATALOG.items()):
+        p = entry.representative_p
         pair = build_catalog_pair(name, p, order=512)
         chi = complexity(pair)
         resid = float(np.max(np.abs(de_residual(pair, xs))))

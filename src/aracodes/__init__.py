@@ -22,9 +22,11 @@ from .tilting import (
     stability,
     symmetry_swap,
     threshold_search,
+    tilt,
     tilt_edge,
     tilt_node,
     truncate_pair,
+    untilt,
     untilt_node,
 )
 from .constructions import (
@@ -32,6 +34,7 @@ from .constructions import (
     build_catalog_pair,
     cmk_table,
     lambert_w0,
+    matched_image_series,
     solve_b,
     solve_check_from_bit,
     validity_region,

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import nonneg, sim, tilting
-from .constructions import CATALOG, build_catalog_pair, solve_b
+from .constructions import CATALOG, build_catalog_pair
 from .powerseries import InvalidParameterError, ValidityError
 from .codec import ConstructionError
 
@@ -75,56 +75,7 @@ def cmd_de(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.family in ("bit-regular-ara", "check-regular-ara"):
-        p = args.p if args.family == "bit-regular-ara" else 1.0 - args.p
-        report = nonneg.verify_bitreg_ara(p, grid_n=args.grid)
-        series_min = nonneg.first_coefficients_min(args.family, args.p)
-    elif args.family in ("check-regular-nsira", "bit-regular-aldpc"):
-        p = args.p if args.family == "check-regular-nsira" else 1.0 - args.p
-        report = nonneg.verify_checkreg_nsira(p, grid_n=args.grid)
-        series_min = nonneg.first_coefficients_min(args.family, args.p)
-    elif args.family.startswith("self-matched"):
-        b = _parse_b(args.b)
-        b = solve_b(args.p) if b is None else b
-        tag = args.family.rsplit("-", 1)[-1].upper()
-        ok = nonneg.self_matched_condition(args.p, b, tag)
-        cstar = nonneg.C_STAR
-        c1, c2 = nonneg.self_matched_scales(args.p, b)
-        candidate = nonneg.self_matched_candidate(max(c1, c2))
-        report = nonneg.polya_verify(candidate, grid_n=args.grid)
-        series_min = float(nonneg.log_ratio_series(c1, 200).coeffs.min())
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "p": args.p,
-                    "b": b,
-                    "closed_form_condition": bool(ok),
-                    "critical_c": cstar,
-                    "verdict": report.verdict,
-                    "min_second_difference": report.min_second_difference,
-                    "integral": report.integral,
-                    "head_min": report.head_min,
-                    "first_200_coeff_min": series_min,
-                }
-            )
-        )
-        return 0
-    else:
-        raise InvalidParameterError(f"no verifier for family {args.family!r}")
-    print(
-        json.dumps(
-            {
-                "family": args.family,
-                "p": args.p,
-                "verdict": report.verdict,
-                "min_second_difference": report.min_second_difference,
-                "integral": report.integral,
-                "head_min": report.head_min,
-                "first_200_coeff_min": series_min,
-            }
-        )
-    )
+    print(json.dumps(nonneg.verify_family(args.family, args.p, b=_parse_b(args.b), grid_n=args.grid)))
     return 0
 
 

@@ -7,14 +7,16 @@ whose design rate equals 1 - p:
   f(x) = (1-b)x / (1-bx) of the matching transform, with tails decaying
   like b^k (coefficients by series division; the equivalent
   composition-count recursion is kept for cross-checking);
-* bit-regular and check-regular families with one side fixed to degree 3,
-  where the matched side is extracted from an algebraic cubic;
+* bit-regular families with degree-3 bits, whose matched side comes from
+  an algebraic cubic (series from the generic solver, evaluators in
+  closed form), and their check-regular bit/check swap images;
 * a generic numerical solver that recovers the check side from any
   polynomial bit side.
 
 Every pair carries exact closed-form evaluators alongside its truncated
 coefficient arrays, so downstream fixed-point checks are not limited by
-truncation.
+truncation.  :data:`CATALOG` is the one registry of the named families:
+builder, family tag, options, representative p and verification route.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from .powerseries import (
     InvalidParameterError,
     PowerSeries,
     ValidityError,
-    binomial_series,
     edge_from_node,
     log1m_series,
     monomial,
     reciprocal,
     t_operator,
 )
-from .tilting import symmetry_swap
+from .tilting import TILTED_SIDES, symmetry_swap, tilt, untilt, untilt_node
 
 EULER_GAMMA = 0.57721566490153286061
 #: Critical constant of the head-coefficient sign condition.
@@ -244,20 +245,19 @@ class PInterval:
 def validity_region(family: str, b: float) -> PInterval:
     """Erasure probabilities for which the self-matched family is non-negative.
 
-    Both sides constrain the symmetric family; the one-accumulator
-    families each inherit only one of the two bounds.
+    Each side the family's graph reduction tilts carries a self-matched
+    distribution and bounds p from one end (the bit side from below, the
+    check side from above), so the symmetric family has both bounds and
+    the one-accumulator families each inherit one.
     """
     if not (0.0 < b < 1.0):
         raise InvalidParameterError("b must lie in (0, 1)")
+    sides = TILTED_SIDES.get(family)
+    if not sides:
+        raise InvalidParameterError(f"no validity region for family {family!r}")
     d = -C_STAR * _log_weight(b)  # positive, increasing in b
     lo = 1.0 / (1.0 + d)
-    if family == "ARA":
-        return PInterval(lo, 1.0 - lo)
-    if family == "NSIRA":
-        return PInterval(0.0, 1.0 - lo)
-    if family == "ALDPC":
-        return PInterval(lo, 1.0)
-    raise InvalidParameterError(f"no validity region for family {family!r}")
+    return PInterval(lo if "bit" in sides else 0.0, 1.0 - lo if "check" in sides else 1.0)
 
 
 def _require_valid(family: str, p: float, b: float) -> None:
@@ -286,47 +286,29 @@ def _check_coeffs(coeffs: np.ndarray, what: str) -> None:
 # self-matched family evaluators
 # ---------------------------------------------------------------------------
 
-def _sm_node_fn(p: float, b: float) -> Callable:
+def _ratio_fns(b: float) -> tuple[Callable, Callable]:
+    """Exact (node, edge) evaluators of the ratio side, the reduced side of
+    every self-matched family: (bx + ln(1-bx)) / (b + ln(1-b)) and
+    (1-b)x / (1-bx)."""
     d0 = _log_weight(b)
 
-    def L(x):
-        x = np.asarray(x, dtype=float)
-        n = b * x + np.log1p(-b * x)
-        return n / (p * d0 + (1.0 - p) * n)
-
-    return L
-
-
-def _sm_edge_fn(p: float, b: float) -> Callable:
-    d0 = _log_weight(b)
-    mean = -(b ** 2) * p / ((1.0 - b) * d0)
-
-    def lam(x):
-        x = np.asarray(x, dtype=float)
-        n = b * x + np.log1p(-b * x)
-        nprime = -(b ** 2) * x / (1.0 - b * x)
-        return nprime * p * d0 / (p * d0 + (1.0 - p) * n) ** 2 / mean
-
-    return lam
-
-
-def _ratio_node_fn(b: float) -> Callable:
-    """(bx + ln(1-bx)) / (b + ln(1-b)) -- the untilted one-accumulator side."""
-    d0 = _log_weight(b)
-
-    def f(x):
+    def node(x):
         x = np.asarray(x, dtype=float)
         return (b * x + np.log1p(-b * x)) / d0
 
-    return f
-
-
-def _rational_edge_fn(b: float) -> Callable:
-    def f(x):
+    def edge(x):
         x = np.asarray(x, dtype=float)
         return (1.0 - b) * x / (1.0 - b * x)
 
-    return f
+    return node, edge
+
+
+def _untilt_fns(node_fn: Callable, edge_fn: Callable, side: str, p: float) -> tuple[Callable, Callable]:
+    """Pointwise untilt of a tilted (node, edge) evaluator pair."""
+    return (
+        lambda x: untilt(node_fn(x), None, side, p)[0],
+        lambda x: untilt(node_fn(x), edge_fn(x), side, p)[1],
+    )
 
 
 def _sm_bit_side(p: float, b: float, order: int) -> DegreeDistribution:
@@ -346,26 +328,38 @@ def _ratio_side(b: float, order: int) -> DegreeDistribution:
     return DegreeDistribution.from_node(PowerSeries(coeffs), exact_mean=mean, check_normalized=False)
 
 
+def _self_matched(family: str, p: float, b: Optional[float], order: int) -> DegreePair:
+    """Self-matched pair of one family: the ratio side, untilted on every
+    side the family's graph reduction tilts and kept as is elsewhere."""
+    b = solve_b(p) if b is None else float(b)
+    _require_valid(family, p, b)
+    ratio_fns = _ratio_fns(b)
+    sides = {}
+    for side, q in (("bit", p), ("check", 1.0 - p)):
+        if side in TILTED_SIDES[family]:
+            sides[side] = _sm_bit_side(q, b, order), _untilt_fns(*ratio_fns, side, p)
+        else:
+            sides[side] = _ratio_side(b, order), ratio_fns
+    (bit, bit_fns), (check, check_fns) = sides["bit"], sides["check"]
+    return DegreePair(
+        bit=bit,
+        check=check,
+        family=family,
+        p=p,
+        b=b,
+        label="self-matched",
+        bit_fns=bit_fns,
+        check_fns=check_fns,
+    )
+
+
 def self_matched_ara(p: float, b: Optional[float] = None, order: int = DEFAULT_ORDER) -> DegreePair:
     """Self-matched ARA pair: both reduced sides equal (1-b)x/(1-bx).
 
     At p = 1/2 the bit and check sides coincide.  Tails decay like b^k,
     so moderate truncation depths capture almost all the mass.
     """
-    b = solve_b(p) if b is None else float(b)
-    _require_valid("ARA", p, b)
-    bit = _sm_bit_side(p, b, order)
-    check = _sm_bit_side(1.0 - p, b, order)
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="ARA",
-        p=p,
-        b=b,
-        label="self-matched",
-        bit_fns=(_sm_node_fn(p, b), _sm_edge_fn(p, b)),
-        check_fns=(_sm_node_fn(1.0 - p, b), _sm_edge_fn(1.0 - p, b)),
-    )
+    return _self_matched("ARA", p, b, order)
 
 
 def self_matched_nsira(p: float, b: Optional[float] = None, order: int = DEFAULT_ORDER) -> DegreePair:
@@ -374,38 +368,12 @@ def self_matched_nsira(p: float, b: Optional[float] = None, order: int = DEFAULT
     The bit coefficients are proportional to b^i / i and are non-negative
     for every b, so only the check-side bound constrains p.
     """
-    b = solve_b(p) if b is None else float(b)
-    _require_valid("NSIRA", p, b)
-    bit = _ratio_side(b, order)
-    check = _sm_bit_side(1.0 - p, b, order)
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="NSIRA",
-        p=p,
-        b=b,
-        label="self-matched",
-        bit_fns=(_ratio_node_fn(b), _rational_edge_fn(b)),
-        check_fns=(_sm_node_fn(1.0 - p, b), _sm_edge_fn(1.0 - p, b)),
-    )
+    return _self_matched("NSIRA", p, b, order)
 
 
 def self_matched_aldpc(p: float, b: Optional[float] = None, order: int = DEFAULT_ORDER) -> DegreePair:
     """Self-matched ALDPC pair: the bit/check mirror of the NSIRA family."""
-    b = solve_b(p) if b is None else float(b)
-    _require_valid("ALDPC", p, b)
-    bit = _sm_bit_side(p, b, order)
-    check = _ratio_side(b, order)
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="ALDPC",
-        p=p,
-        b=b,
-        label="self-matched",
-        bit_fns=(_sm_node_fn(p, b), _sm_edge_fn(p, b)),
-        check_fns=(_ratio_node_fn(b), _rational_edge_fn(b)),
-    )
+    return _self_matched("ALDPC", p, b, order)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +385,8 @@ def matched_cubic_edge_fn(q: float) -> Callable:
 
     The value y(x) satisfies (1-q) t (1-y)^3 + q (1-y) = t with
     t = sqrt(1-x); the unique real root is written with hyperbolic
-    functions, which stay stable at both endpoints.
+    functions, which stay stable at both endpoints.  At q = 1 (a bit side
+    left untilted) the cubic degenerates to y = 1 - t.
     """
 
     def f(x):
@@ -427,9 +396,12 @@ def matched_cubic_edge_fn(q: float) -> Callable:
         out = np.ones_like(t)
         mask = t > 0.0
         ts = t[mask]
-        qq = q / ((1.0 - q) * ts)
-        arg = np.sqrt(27.0 * (1.0 - q) * ts ** 3 / (4.0 * q ** 3))
-        u = 2.0 * np.sqrt(qq / 3.0) * np.sinh(np.arcsinh(arg) / 3.0)
+        if q == 1.0:
+            u = ts
+        else:
+            qq = q / ((1.0 - q) * ts)
+            arg = np.sqrt(27.0 * (1.0 - q) * ts ** 3 / (4.0 * q ** 3))
+            u = 2.0 * np.sqrt(qq / 3.0) * np.sinh(np.arcsinh(arg) / 3.0)
         out[mask] = 1.0 - u
         return float(out[0]) if scalar else out
 
@@ -437,26 +409,12 @@ def matched_cubic_edge_fn(q: float) -> Callable:
 
 
 def matched_cubic_edge_series(q: float, order: int) -> PowerSeries:
-    """Series coefficients of :func:`matched_cubic_edge_fn` by Newton iteration.
+    """Series coefficients of :func:`matched_cubic_edge_fn`.
 
-    Works in the truncated-series ring on the defining cubic; the root
-    through (x, u) = (0, 1) is simple, so the iteration doubles precision.
+    The cubic is the matched image of the degree-3-regular bit side
+    tilted at q, so the generic solver produces it.
     """
-    t = binomial_series(0.5, order)
-    u = PowerSeries([1.0])
-    n = 1
-    while n <= order:
-        n = min(2 * n, order + 1)
-        un = u.truncated(n - 1)
-        tn = t.truncated(n - 1)
-        u2 = un * un
-        F = (1.0 - q) * tn * u2 * un + q * un - tn
-        Fp = 3.0 * (1.0 - q) * tn * u2 + q
-        u = (un - F * reciprocal(Fp)).truncated(n - 1)
-    rho = -1.0 * u.truncated(order) + 1.0
-    coeffs = rho.coeffs.copy()
-    coeffs[0] = 0.0  # exact: the root passes through u(0) = 1
-    return PowerSeries(coeffs)
+    return matched_image_series(monomial(3, 3), q, order)
 
 
 def _cubic_integral_fn(q: float) -> Callable:
@@ -473,29 +431,58 @@ def _cubic_integral_fn(q: float) -> Callable:
     return F
 
 
-def _regular_node_fn(degree: int) -> Callable:
-    def f(x):
-        return np.asarray(x, dtype=float) ** degree
-
-    return f
-
-
-def _regular_edge_fn(degree: int) -> Callable:
-    def f(x):
-        return np.asarray(x, dtype=float) ** (degree - 1)
-
-    return f
+def _cubic_fns(q: float) -> tuple[Callable, Callable]:
+    """Exact (node, edge) evaluators of the matched cubic read as a side."""
+    integral = _cubic_integral_fn(q)
+    return (lambda x: 3.0 / q * np.asarray(integral(x), dtype=float)), matched_cubic_edge_fn(q)
 
 
 def bit_regular_check_node_series(p: float, order: int) -> PowerSeries:
-    """Ungated check-side node series of the bit-regular pair (any p).
+    """Ungated check-side node series of the bit-regular ARA pair (any p).
 
     Negative coefficients appear for p beyond the validity range; the
     non-negativity verifier probes exactly that regime.
     """
-    rho_tilde = matched_cubic_edge_series(p, order)
-    Q = rho_tilde.antiderivative().truncated(order) * (3.0 / p)
-    return Q / (1.0 - p + p * Q)
+    return untilt_node(_image_node_series(monomial(3, 3), p, order), "check", p)
+
+
+def _bit_regular(family: str, p: float, order: int) -> DegreePair:
+    """Pair of one family with all punctured bits of degree 3.
+
+    The check side is the matched image of the bit side after the
+    family's graph reduction (tilted at p, or at 1, which leaves it as
+    is), untilted at p where the family tilts the check side.  Series
+    come from the generic solver, evaluators from the closed-form cubic.
+    """
+    tilted = TILTED_SIDES[family]
+    q = p if "bit" in tilted else 1.0
+    cube = monomial(3, 3)
+    if "check" in tilted:
+        R = untilt_node(_image_node_series(cube, q, order), "check", p)
+        _check_coeffs(R.coeffs, "check node")
+        check = DegreeDistribution.from_node(
+            PowerSeries(np.maximum(R.coeffs, 0.0)),
+            exact_mean=3.0 * (1.0 - p) / q,
+            allow_degree_one=True,
+            check_normalized=False,
+        )
+        check_fns = _untilt_fns(*_cubic_fns(q), "check", p)
+    else:
+        rho = matched_image_series(cube, q, order)
+        _check_coeffs(rho.coeffs, "check edge")
+        check = DegreeDistribution.from_edge(
+            PowerSeries(np.maximum(rho.coeffs, 0.0)), exact_integral=q / 3.0, allow_degree_one=True
+        )
+        check_fns = _cubic_fns(q)
+    return DegreePair(
+        bit=DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0),
+        check=check,
+        family=family,
+        p=p,
+        label="bit-regular-3",
+        bit_fns=(lambda x: np.asarray(x, dtype=float) ** 3, lambda x: np.asarray(x, dtype=float) ** 2),
+        check_fns=check_fns,
+    )
 
 
 def bit_regular_ara(p: float, order: int = DEFAULT_ORDER, allow_unproven: bool = False) -> DegreePair:
@@ -512,134 +499,31 @@ def bit_regular_ara(p: float, order: int = DEFAULT_ORDER, allow_unproven: bool =
         raise ValidityError(
             f"p={p} beyond the {'observed' if allow_unproven else 'proven'} bound {limit}"
         )
-    R = bit_regular_check_node_series(p, order)
-    _check_coeffs(R.coeffs, "check node")
-    check_mean = 3.0 * (1.0 - p) / p
-    check = DegreeDistribution.from_node(
-        PowerSeries(np.maximum(R.coeffs, 0.0)),
-        exact_mean=check_mean,
-        allow_degree_one=True,
-        check_normalized=False,
-    )
-    bit = DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0)
+    return _bit_regular("ARA", p, order)
 
-    cubic = matched_cubic_edge_fn(p)
-    integral = _cubic_integral_fn(p)
 
-    def Q_fn(x):
-        return 3.0 / p * np.asarray(integral(x), dtype=float)
-
-    def R_fn(x):
-        qv = Q_fn(x)
-        return qv / (1.0 - p + p * qv)
-
-    def rho_fn(x):
-        qv = Q_fn(x)
-        return np.asarray(cubic(x), dtype=float) / (1.0 - p + p * qv) ** 2
-
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="ARA",
-        p=p,
-        b=None,
-        label="bit-regular-3",
-        bit_fns=(_regular_node_fn(3), _regular_edge_fn(3)),
-        check_fns=(R_fn, rho_fn),
-    )
+def _check_regular_image(bit_regular: DegreePair, p: float) -> DegreePair:
+    """The bit/check swap of a bit-regular pair designed at 1 - p: the check-regular pair at p."""
+    return replace(symmetry_swap(bit_regular), p=p, label="check-regular-3")
 
 
 def check_regular_ara(p: float, order: int = DEFAULT_ORDER, allow_unproven: bool = False) -> DegreePair:
     """ARA pair with all checks of degree 3: the swap image of the bit-regular one."""
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    swapped = symmetry_swap(bit_regular_ara(1.0 - p, order, allow_unproven))
-    return replace(swapped, label="check-regular-3")
-
-
-def nsira_check_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
-    """NSIRA pair with degree-3 checks; the bit side is the matched cubic.
-
-    Coefficient tails decay like k^{-3/2}, so partial sums converge far
-    more slowly than for the self-matched family.
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    q = 1.0 - p
-    lam = matched_cubic_edge_series(q, order)
-    _check_coeffs(lam.coeffs, "bit edge")
-    bit = DegreeDistribution.from_edge(
-        PowerSeries(np.maximum(lam.coeffs, 0.0)), exact_integral=q / 3.0
-    )
-    check = DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0, allow_degree_one=True)
-
-    cubic = matched_cubic_edge_fn(q)
-    integral = _cubic_integral_fn(q)
-
-    def L_fn(x):
-        return 3.0 / q * np.asarray(integral(x), dtype=float)
-
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="NSIRA",
-        p=p,
-        b=None,
-        label="check-regular-3",
-        bit_fns=(L_fn, cubic),
-        check_fns=(_regular_node_fn(3), _regular_edge_fn(3)),
-    )
-
-
-def _accumulated_regular_side(c: float, order: int) -> tuple[DegreeDistribution, Callable, Callable]:
-    """Irregular side matched to a degree-3-regular side through one accumulator.
-
-    Edge form (1 - sqrt(1-x)) / (1 - c (1 - G))^2 with
-    G = 3x - 2(1 - (1-x)^{3/2}); node form G / (1 - c + c G).  The mean
-    equals 3 (1 - c).
-    """
-    three_half = binomial_series(1.5, order)
-    G = 3.0 * monomial(1, order) - 2.0 * (1.0 - three_half)
-    node = G / (1.0 - c + c * G)
-    coeffs = node.coeffs.copy()
-    _check_coeffs(coeffs, "node")
-    coeffs[:2] = np.maximum(coeffs[:2], 0.0)
-    mean = 3.0 * (1.0 - c)
-    dist = DegreeDistribution.from_node(
-        PowerSeries(np.maximum(coeffs, 0.0)), exact_mean=mean, check_normalized=False
-    )
-
-    def node_fn(x):
-        x = np.asarray(x, dtype=float)
-        g = 3.0 * x - 2.0 * (1.0 - (1.0 - x) ** 1.5)
-        return g / (1.0 - c + c * g)
-
-    def edge_fn(x):
-        x = np.asarray(x, dtype=float)
-        g = 3.0 * x - 2.0 * (1.0 - (1.0 - x) ** 1.5)
-        return (1.0 - np.sqrt(np.maximum(1.0 - x, 0.0))) / (1.0 - c * (1.0 - g)) ** 2
-
-    return dist, node_fn, edge_fn
+    return _check_regular_image(bit_regular_ara(1.0 - p, order, allow_unproven), p)
 
 
 def nsira_bit_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
-    """NSIRA pair with degree-3 bits; valid natively for p <= 1/13."""
+    """NSIRA pair with degree-3 bits; valid natively for p <= 1/13.
+
+    The bit side stays untilted, so the tilted check side is the matched
+    image of x^2: edge form 1 - sqrt(1-x), node form
+    3x - 2(1 - (1-x)^{3/2}).
+    """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
     if p > 1.0 / 13.0 + 1e-12:
         raise ValidityError(f"p={p} beyond 1/13; puncture a lower-p design instead")
-    check, node_fn, edge_fn = _accumulated_regular_side(p, order)
-    bit = DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0)
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="NSIRA",
-        p=p,
-        b=None,
-        label="bit-regular-3",
-        bit_fns=(_regular_node_fn(3), _regular_edge_fn(3)),
-        check_fns=(node_fn, edge_fn),
-    )
+    return _bit_regular("NSIRA", p, order)
 
 
 def aldpc_bit_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
@@ -650,51 +534,27 @@ def aldpc_bit_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    rho = matched_cubic_edge_series(p, order)
-    _check_coeffs(rho.coeffs, "check edge")
-    check = DegreeDistribution.from_edge(
-        PowerSeries(np.maximum(rho.coeffs, 0.0)),
-        exact_integral=p / 3.0,
-        allow_degree_one=True,
-    )
-    bit = DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0)
+    return _bit_regular("ALDPC", p, order)
 
-    cubic = matched_cubic_edge_fn(p)
-    integral = _cubic_integral_fn(p)
 
-    def R_fn(x):
-        return 3.0 / p * np.asarray(integral(x), dtype=float)
+def nsira_check_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
+    """NSIRA pair with degree-3 checks: the swap image of the ALDPC bit-regular one.
 
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="ALDPC",
-        p=p,
-        b=None,
-        label="bit-regular-3",
-        bit_fns=(_regular_node_fn(3), _regular_edge_fn(3)),
-        check_fns=(R_fn, cubic),
-    )
+    Its bit side is the matched cubic, whose coefficient tails decay like
+    k^{-3/2}, so partial sums converge far more slowly than for the
+    self-matched family.
+    """
+    return _check_regular_image(aldpc_bit_regular(1.0 - p, order), p)
 
 
 def aldpc_check_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
-    """ALDPC pair with degree-3 checks; valid natively for p >= 12/13."""
+    """ALDPC pair with degree-3 checks, the swap image of the NSIRA bit-regular
+    one; valid natively for p >= 12/13."""
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
     if p < 12.0 / 13.0 - 1e-12:
         raise ValidityError(f"p={p} below 12/13; puncture a higher-p design instead")
-    bit, node_fn, edge_fn = _accumulated_regular_side(1.0 - p, order)
-    check = DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0, allow_degree_one=True)
-    return DegreePair(
-        bit=bit,
-        check=check,
-        family="ALDPC",
-        p=p,
-        b=None,
-        label="check-regular-3",
-        bit_fns=(node_fn, edge_fn),
-        check_fns=(_regular_node_fn(3), _regular_edge_fn(3)),
-    )
+    return _check_regular_image(nsira_bit_regular(1.0 - p, order), p)
 
 
 # ---------------------------------------------------------------------------
@@ -711,71 +571,88 @@ class CheckSideSolution:
     rho_fn: Callable
 
 
-def _poly_compose(coeffs: np.ndarray, v: PowerSeries, order: int) -> PowerSeries:
-    """Evaluate a polynomial (given by coeffs) at a series argument, Horner-style."""
-    acc = PowerSeries(np.zeros(order + 1))
-    for c in coeffs[::-1]:
-        acc = (acc * v).truncated(order) + float(c)
-    return acc
+def _polynomial_bit_side(L: PowerSeries) -> tuple[np.ndarray, float]:
+    """Coefficients of a polynomial bit side up to its degree, and its mean."""
+    nz = np.nonzero(np.abs(L.coeffs) > 1e-14)[0]
+    if len(nz) == 0:
+        raise InvalidParameterError("bit side is identically zero")
+    Lc = L.coeffs[: int(nz[-1]) + 1]
+    return Lc, float(np.dot(np.arange(len(Lc)), Lc))
+
+
+_ONE_MINUS_X = np.array([1.0, -1.0])
+
+
+def matched_image_series(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -> PowerSeries:
+    """Series of the matched image of a polynomial bit side tilted at p.
+
+    p = 1 leaves the bit side as it is.  The tilted edge function is lam~ = p^2 lam / (1 - (1-p) L)^2; its
+    matched image is 1 - v(x) with lam~(v) = 1 - x.  Newton iteration with
+    precision doubling on the cleared equation
+    G(v) = p^2 lam(v) - (1-x) (1 - (1-p) L(v))^2 = 0 through v(0) = 1,
+    where the root is simple.  Each step forms the powers v^0 .. v^deg
+    once and reads L(v), L'(v) and L''(v) off them as dot products.
+    """
+    if not (0.0 < p <= 1.0):
+        raise InvalidParameterError("p must lie in (0, 1]")
+    Lc, mean = _polynomial_bit_side(L)
+    deg = len(Lc) - 1
+    Ld = np.arange(1, deg + 1) * Lc[1:]  # L', so lam = L' / mean
+    Ldd = np.arange(1, deg) * Ld[1:]  # L''
+
+    v = np.ones(1)
+    n = 1
+    while n <= order:
+        n = min(2 * n, order + 1)
+        powers = np.zeros((deg + 1, n))
+        powers[0, 0] = 1.0
+        powers[1, : len(v)] = v
+        for i in range(2, deg + 1):
+            powers[i] = np.convolve(powers[i - 1], powers[1])[:n]
+        Lv, Ldv, Lddv = Lc @ powers, Ld @ powers[:deg], Ldd @ powers[: deg - 1]
+        one_m = -(1.0 - p) * Lv
+        one_m[0] += 1.0  # 1 - (1-p) L(v)
+        w = np.convolve(one_m, _ONE_MINUS_X)[:n]
+        G = (p ** 2 / mean) * Ldv - np.convolve(w, one_m)[:n]
+        Gp = (p ** 2 / mean) * Lddv + 2.0 * (1.0 - p) * np.convolve(w, Ldv)[:n]
+        v = powers[1] - np.convolve(G, reciprocal(PowerSeries(Gp)).coeffs)[:n]
+    rho_tilde = -v
+    rho_tilde[0] = 0.0  # exact: the root passes through v(0) = 1
+    return PowerSeries(rho_tilde)
+
+
+def _image_node_series(L: PowerSeries, p: float, order: int) -> PowerSeries:
+    """Node form of the matched image of bit side L tilted at p: its integral, normalized.
+
+    The tilted bit side integrates to p / mean on [0, 1], and so does its
+    matched image.
+    """
+    mean = _polynomial_bit_side(L)[1]
+    return matched_image_series(L, p, order).antiderivative().truncated(order) * (mean / p)
 
 
 def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -> CheckSideSolution:
     """Recover the check side matched to a polynomial bit side at erasure p.
 
     Pipeline: tilt the bit side, take the matched image of the tilted
-    edge function (numerical inversion), integrate it (quadrature for the
-    evaluator, term-by-term for the series), and untilt back to the check
-    node distribution.  The same routine run at 1 - p solves the bit side
-    from a check side.
+    edge function (:func:`matched_image_series` for the series, numerical
+    inversion for the evaluator), integrate it (term by term, or by
+    quadrature), and untilt back to the check node distribution.  The
+    same routine run at 1 - p solves the bit side from a check side.
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    nz = np.nonzero(np.abs(L.coeffs) > 1e-14)[0]
-    if len(nz) == 0:
-        raise InvalidParameterError("bit side is identically zero")
-    deg = int(nz[-1])
-    Lc = L.coeffs[: deg + 1]
-    mean = float(np.dot(np.arange(deg + 1), Lc))
-    lam_c = np.arange(1, deg + 1) * Lc[1:] / mean  # polynomial edge coefficients
-
-    # --- series route: Newton on the cleared matched-image equation ---
-    # G(v) = p^2 lam(v) - (1-x) (1 - (1-p) L(v))^2 = 0 with v(0) = 1
-    order_x = order
-    x_s = monomial(1, order_x)
-    v = PowerSeries([1.0])
-    n = 1
-    while n <= order_x:
-        n = min(2 * n, order_x + 1)
-        vn = v.truncated(n - 1)
-        Lv = _poly_compose(Lc, vn, n - 1)
-        lam_v = _poly_compose(lam_c, vn, n - 1)
-        one_m = (1.0 - (1.0 - p) * Lv).truncated(n - 1)
-        G = (p ** 2) * lam_v - ((1.0 - x_s.truncated(n - 1)) * one_m * one_m).truncated(n - 1)
-        # G'(v) = p^2 lam'(v) + 2 (1-x)(1 - (1-p) L(v)) (1-p) lam(v) * mean
-        lam_deriv_c = np.arange(1, deg) * lam_c[1:] if deg >= 2 else np.array([0.0])
-        lam_dv = _poly_compose(lam_deriv_c, vn, n - 1) if deg >= 2 else PowerSeries([0.0])
-        Ld_c = np.arange(1, deg + 1) * Lc[1:]
-        Ldv = _poly_compose(Ld_c, vn, n - 1)
-        Gp = (p ** 2) * lam_dv + 2.0 * (1.0 - p) * (
-            (1.0 - x_s.truncated(n - 1)) * one_m * Ldv
-        ).truncated(n - 1)
-        v = (vn - G * reciprocal(Gp)).truncated(n - 1)
-    rho_tilde = (1.0 - v.truncated(order_x)).truncated(order_x)
-    coeffs = rho_tilde.coeffs.copy()
-    coeffs[0] = 0.0
-    rho_tilde = PowerSeries(coeffs)
-    area = p / mean  # exact integral of the tilted edge function on [0, 1]
-    Q = rho_tilde.antiderivative().truncated(order_x) * (1.0 / area)
-    R = Q / (1.0 - p + p * Q)
+    Lc, mean = _polynomial_bit_side(L)
+    R = untilt_node(_image_node_series(L, p, order), "check", p)
     rho = edge_from_node(R, exact_mean=(1.0 - p) * mean / p)
 
-    # --- pointwise route: matched image by bisection, quadrature for Q ---
+    # pointwise route: matched image by bisection, quadrature for Q
     L_fn = PowerSeries(Lc)
-    lam_fn = PowerSeries(lam_c)
+    lam_fn = PowerSeries(np.arange(1, len(Lc)) * Lc[1:] / mean)
 
     def lam_tilde(x):
         x = np.asarray(x, dtype=float)
-        return (p ** 2) * lam_fn(x) / (1.0 - (1.0 - p) * L_fn(x)) ** 2
+        return tilt(L_fn(x), lam_fn(x), "bit", p)[1]
 
     rho_tilde_fn = t_operator(lambda x: float(lam_tilde(x)))
     nodes, weights = np.polynomial.legendre.leggauss(48)
@@ -793,17 +670,10 @@ def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -
 
     def Q_fn(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([integral_to(float(xi)) / area for xi in xs])
+        out = np.array([integral_to(float(xi)) * mean / p for xi in xs])
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def R_fn(x):
-        qv = np.asarray(Q_fn(x), dtype=float)
-        return qv / (1.0 - p + p * qv)
-
-    def rho_fn(x):
-        qv = np.asarray(Q_fn(x), dtype=float)
-        return np.asarray(rho_tilde_fn(x), dtype=float) / (1.0 - p + p * qv) ** 2
-
+    R_fn, rho_fn = _untilt_fns(Q_fn, rho_tilde_fn, "check", p)
     return CheckSideSolution(R=R, rho=rho, R_fn=R_fn, rho_fn=rho_fn)
 
 
@@ -811,17 +681,50 @@ def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -
 # catalog
 # ---------------------------------------------------------------------------
 
-CATALOG: dict[str, Callable[..., DegreePair]] = {
-    "self-matched-ara": self_matched_ara,
-    "self-matched-nsira": self_matched_nsira,
-    "self-matched-aldpc": self_matched_aldpc,
-    "bit-regular-ara": bit_regular_ara,
-    "check-regular-ara": check_regular_ara,
-    "check-regular-nsira": nsira_check_regular,
-    "bit-regular-nsira": nsira_bit_regular,
-    "bit-regular-aldpc": aldpc_bit_regular,
-    "check-regular-aldpc": aldpc_check_regular,
+#: How a catalog family's non-negativity is certified (``nonneg.verify_family``):
+#: the self-matched scale constants against the critical value, or the
+#: circle criterion on the matched cubic or on the bit-regular check side.
+VERIFY_SCALES = "scales"
+VERIFY_CUBIC = "cubic"
+VERIFY_BITREG = "bitreg"
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One catalog family: how to build it and how to certify it."""
+
+    builder: Callable[..., DegreePair]
+    tag: str  # family tag of the pairs it builds: ARA, NSIRA or ALDPC
+    representative_p: float
+    takes_b: bool = False
+    takes_unproven: bool = False
+    verifier: Optional[str] = None  # one of the VERIFY_* kinds; None: no verifier
+    swapped: bool = False  # a swap image, verified at 1 - p
+
+    def verified_p(self, p: float) -> tuple[float, float]:
+        """The p the verifier runs at and its complement, both taken from p, not 1 - (1 - p)."""
+        return (1.0 - p, p) if self.swapped else (p, 1.0 - p)
+
+
+CATALOG: dict[str, CatalogEntry] = {
+    "self-matched-ara": CatalogEntry(self_matched_ara, "ARA", 0.5, takes_b=True, verifier=VERIFY_SCALES),
+    "self-matched-nsira": CatalogEntry(self_matched_nsira, "NSIRA", 0.5, takes_b=True, verifier=VERIFY_SCALES),
+    "self-matched-aldpc": CatalogEntry(self_matched_aldpc, "ALDPC", 0.5, takes_b=True, verifier=VERIFY_SCALES),
+    "bit-regular-ara": CatalogEntry(bit_regular_ara, "ARA", 0.2, takes_unproven=True, verifier=VERIFY_BITREG),
+    "check-regular-ara": CatalogEntry(
+        check_regular_ara, "ARA", 0.8, takes_unproven=True, verifier=VERIFY_BITREG, swapped=True
+    ),
+    "check-regular-nsira": CatalogEntry(nsira_check_regular, "NSIRA", 0.5, verifier=VERIFY_CUBIC),
+    "bit-regular-nsira": CatalogEntry(nsira_bit_regular, "NSIRA", 0.07),
+    "bit-regular-aldpc": CatalogEntry(aldpc_bit_regular, "ALDPC", 0.5, verifier=VERIFY_CUBIC, swapped=True),
+    "check-regular-aldpc": CatalogEntry(aldpc_check_regular, "ALDPC", 0.93),
 }
+
+
+def catalog_entry(name: str) -> CatalogEntry:
+    if name not in CATALOG:
+        raise InvalidParameterError(f"unknown family {name!r}; choices: {sorted(CATALOG)}")
+    return CATALOG[name]
 
 
 def build_catalog_pair(
@@ -831,12 +734,11 @@ def build_catalog_pair(
     order: int = DEFAULT_ORDER,
     allow_unproven: bool = False,
 ) -> DegreePair:
-    """Build a catalog pair by name; b applies to self-matched families only."""
-    if name not in CATALOG:
-        raise InvalidParameterError(f"unknown family {name!r}; choices: {sorted(CATALOG)}")
-    builder = CATALOG[name]
-    if name.startswith("self-matched"):
-        return builder(p, b=b, order=order)
-    if name in ("bit-regular-ara", "check-regular-ara"):
-        return builder(p, order=order, allow_unproven=allow_unproven)
-    return builder(p, order=order)
+    """Build a catalog pair by name; b and allow_unproven reach only the families that take them."""
+    entry = catalog_entry(name)
+    options = {}
+    if entry.takes_b:
+        options["b"] = b
+    if entry.takes_unproven:
+        options["allow_unproven"] = allow_unproven
+    return entry.builder(p, order=order, **options)

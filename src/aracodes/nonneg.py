@@ -17,7 +17,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .constructions import C_STAR, _alpha, bit_regular_check_node_series, matched_cubic_edge_series
+from .constructions import (
+    C_STAR,
+    VERIFY_BITREG,
+    VERIFY_CUBIC,
+    VERIFY_SCALES,
+    _alpha,
+    bit_regular_check_node_series,
+    catalog_entry,
+    matched_cubic_edge_series,
+    solve_b,
+)
 from .powerseries import (
     InvalidParameterError,
     NumericDomainError,
@@ -27,6 +37,7 @@ from .powerseries import (
     reciprocal,
     t_operator,
 )
+from .tilting import TILTED_SIDES, untilt, untilt_node
 
 #: Closest approach to the z = 1 singularity on the unit circle.
 X_MIN = 1e-6
@@ -92,7 +103,8 @@ def polya_verify(
     sym_err = float(np.max(np.abs(candidate.h(sample) - candidate.h(-sample))))
     symmetric = sym_err <= 1e-9 * scale
 
-    integral = float(simpson(h, x=xs))
+    # h is close to h(0) on the sliver [0, X_MIN] the grid leaves out
+    integral = float(simpson(h, x=xs)) + X_MIN * float(h[0])
     integral_ok = integral >= -int_tol * scale
 
     d2 = h[:-2] - 2.0 * h[1:-1] + h[2:]
@@ -199,18 +211,15 @@ def self_matched_scales(p: float, b: float) -> tuple[float, float]:
 def self_matched_condition(p: float, b: float, family: str) -> bool:
     """Closed-form head condition for the self-matched families.
 
-    Tests the relevant scale constants against the critical value: both
-    for the two-accumulator family, only the check side for NSIRA, only
-    the bit side for ALDPC.
+    Tests the scale constant of every side the family's graph reduction
+    tilts against the critical value: both for the two-accumulator
+    family, only the check side for NSIRA, only the bit side for ALDPC.
     """
-    c1, c2 = self_matched_scales(p, b)
-    if family == "ARA":
-        return c1 <= C_STAR + 1e-12 and c2 <= C_STAR + 1e-12
-    if family == "NSIRA":
-        return c2 <= C_STAR + 1e-12
-    if family == "ALDPC":
-        return c1 <= C_STAR + 1e-12
-    raise InvalidParameterError(f"unknown family {family!r}")
+    sides = TILTED_SIDES.get(family)
+    if not sides:
+        raise InvalidParameterError(f"unknown family {family!r}")
+    scales = dict(zip(("bit", "check"), self_matched_scales(p, b)))
+    return all(scales[side] <= C_STAR + 1e-12 for side in sides)
 
 
 def _matched_cubic_circle_fn(q: float) -> Callable:
@@ -281,21 +290,53 @@ def verify_bitreg_ara(p: float, grid_n: int = 8192) -> ConvexityReport:
         u = 1.0 - rho_t
         u3 = u ** 3
         Q = 3.0 * (z - 1.0) * rho_t / p + (1.0 - u3) / (1.0 - (1.0 - p) * u3)
-        # R'(z) = 3 (1-p)/p * rho_t / (1-p+pQ)^2, from the quadrature identity
-        return 3.0 * (1.0 - p) / p * rho_t / (z * (1.0 - p + p * Q) ** 2)
+        # R'(z) = R'(1) rho(z) with rho the untilted edge function
+        return 3.0 * (1.0 - p) / p * untilt(Q, rho_t, "check", p)[1] / z
 
     return polya_verify(PolyaCandidate(fn=fn, label=f"bit-regular check side p={p}"), grid_n)
 
 
 def first_coefficients_min(family: str, p: float, order: int = 200) -> float:
     """Direct series oracle: minimum of the first coefficients of the tested side."""
-    if family in ("check-regular-nsira", "bit-regular-aldpc"):
-        q = 1.0 - p if family == "check-regular-nsira" else p
-        return float(matched_cubic_edge_series(q, order).coeffs.min())
-    if family in ("bit-regular-ara", "check-regular-ara"):
-        q = p if family == "bit-regular-ara" else 1.0 - p
-        return float(bit_regular_check_node_series(q, order).coeffs.min())
+    entry = catalog_entry(family)
+    p_v, q_v = entry.verified_p(p)
+    if entry.verifier == VERIFY_CUBIC:
+        return float(matched_cubic_edge_series(q_v, order).coeffs.min())
+    if entry.verifier == VERIFY_BITREG:
+        return float(bit_regular_check_node_series(p_v, order).coeffs.min())
     raise InvalidParameterError(f"no series oracle for family {family!r}")
+
+
+def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int = 8192) -> dict:
+    """Non-negativity report of a catalog family at design p, as a JSON-ready dict.
+
+    Self-matched families get the closed-form scale condition and the
+    circle criterion on the log-ratio candidate at the larger scale; the
+    degree-3 families get the circle criterion on their tested side and
+    the direct series oracle.
+    """
+    entry = catalog_entry(family)
+    doc = {"family": family, "p": p}
+    if entry.verifier == VERIFY_SCALES:
+        b = solve_b(p) if b is None else b
+        c1, c2 = self_matched_scales(p, b)
+        doc.update(b=b, closed_form_condition=self_matched_condition(p, b, entry.tag), critical_c=C_STAR)
+        report = polya_verify(self_matched_candidate(max(c1, c2)), grid_n=grid_n)
+        series_min = float(log_ratio_series(c1, 200).coeffs.min())
+    elif entry.verifier in (VERIFY_CUBIC, VERIFY_BITREG):
+        verify = verify_checkreg_nsira if entry.verifier == VERIFY_CUBIC else verify_bitreg_ara
+        report = verify(entry.verified_p(p)[0], grid_n=grid_n)
+        series_min = first_coefficients_min(family, p)
+    else:
+        raise InvalidParameterError(f"no verifier for family {family!r}")
+    doc.update(
+        verdict=report.verdict,
+        min_second_difference=report.min_second_difference,
+        integral=report.integral,
+        head_min=report.head_min,
+        first_200_coeff_min=series_min,
+    )
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +398,8 @@ def alt_self_matched_probe(
     bit_mins = np.empty(len(grid))
     check_mins = np.empty(len(grid))
     for i, p in enumerate(grid):
-        bit = tilde / (p + (1.0 - p) * tilde)
-        check = tilde / ((1.0 - p) + p * tilde)
+        bit = untilt_node(tilde, "bit", p)
+        check = untilt_node(tilde, "check", p)
         bit_mins[i] = float(bit.coeffs.min())
         check_mins[i] = float(check.coeffs.min())
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from .constructions import build_catalog_pair
+from .constructions import build_catalog_pair, catalog_entry
 from .powerseries import InvalidParameterError, ValidityError
 
 WORKER_ENV = "ARACODES_WORKERS"
@@ -85,11 +85,17 @@ class SimResult:
         )
 
     def word_rate_interval(self, index: int, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation binomial 95% interval for one sweep point."""
+        """Wilson score 95% interval for one sweep point.
+
+        Unlike the normal approximation it keeps a positive width when a
+        point saw no failures, or nothing but failures.
+        """
         rate = self.word_rates[index]
         n = max(self.trials_run[index], 1)
-        half = z * np.sqrt(max(rate * (1.0 - rate), 0.0) / n)
-        return max(0.0, rate - half), min(1.0, rate + half)
+        z2n = z * z / n
+        centre = (rate + 0.5 * z2n) / (1.0 + z2n)
+        half = z * np.sqrt(rate * (1.0 - rate) / n + 0.25 * z2n / n) / (1.0 + z2n)
+        return max(0.0, centre - half), min(1.0, centre + half)
 
 
 def bec_channel(
@@ -175,7 +181,11 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     With ``design_p`` set, one code is built at that design point and the
     channel alone varies; otherwise the code is redesigned at every sweep
     point, and points where the construction is invalid are skipped.
+    Only ARA families have a finite-length realization; any other family
+    is rejected before the first point.
     """
+    if catalog_entry(cfg.family).tag != "ARA":
+        raise InvalidParameterError(f"simulation covers ARA families only, not {cfg.family!r}")
     t_start = time.time()
     result = SimResult(config=cfg)
     workers = _worker_count(cfg)

@@ -13,6 +13,7 @@ symmetry swap, and a truncation-aware threshold search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,66 +36,62 @@ def _check_p(p: float) -> float:
     return float(p)
 
 
+def _weights(side: str, p: float) -> tuple[float, float]:
+    """Scale a and feedback weight w of one side's graph reduction at p."""
+    if side == "check":
+        return 1.0 - p, p
+    if side == "bit":
+        return p, 1.0 - p
+    raise InvalidParameterError("side must be 'bit' or 'check'")
+
+
+def tilt(node, edge, side: str, p: float):
+    """Graph reduction of one side's (node, edge) pair at erasure p.
+
+    Node N maps to a N / (1 - w N) and edge e to a^2 e / (1 - w N)^2, with
+    (a, w) = (1-p, p) on the check side and (p, 1-p) on the bit side.
+    Plain arithmetic, so series, real arrays and complex arrays all work;
+    pass ``edge=None`` when only the node half is wanted.
+    """
+    a, w = _weights(side, p)
+    den = 1.0 - w * node
+    return a * node / den, None if edge is None else a ** 2 * edge / (den * den)
+
+
+def untilt(node, edge, side: str, p: float):
+    """Inverse of :func:`tilt`: T maps to T / (a + w T), e to e / (a + w T)^2."""
+    a, w = _weights(side, p)
+    den = a + w * node
+    return node / den, None if edge is None else edge / (den * den)
+
+
 def tilt_node(node: PowerSeries, side: str, p: float) -> PowerSeries:
     """Graph-reduced node distribution.
 
     Check side: (1-p) R / (1 - p R); bit side: p L / (1 - (1-p) L).
     With p = 0 the check side is untouched, with p = 1 the bit side is.
     """
-    if side == "check":
-        scale = 1.0 - p
-        den = 1.0 - p * node
-    elif side == "bit":
-        scale = p
-        den = 1.0 - (1.0 - p) * node
-    else:
-        raise InvalidParameterError("side must be 'bit' or 'check'")
-    return (scale * node) / den
+    return tilt(node, None, side, p)[0]
 
 
 def untilt_node(tilde: PowerSeries, side: str, p: float) -> PowerSeries:
     """Inverse of :func:`tilt_node`: recovers the pre-reduction node d.d."""
-    if side == "check":
-        den = (1.0 - p) + p * tilde
-    elif side == "bit":
-        den = p + (1.0 - p) * tilde
-    else:
-        raise InvalidParameterError("side must be 'bit' or 'check'")
-    if abs(den.coeffs[0]) < 1e-300:
+    a, w = _weights(side, p)
+    if abs(a + w * float(tilde.coeffs[0])) < 1e-300:
         raise NumericDomainError("untilt denominator vanishes at the origin")
-    return tilde / den
+    return untilt(tilde, None, side, p)[0]
 
 
-def tilt_node_fn(node_fn: Callable, side: str, p: float) -> Callable:
-    def f(x):
-        v = node_fn(x)
-        if side == "check":
-            den = 1.0 - p * v
-        else:
-            den = 1.0 - (1.0 - p) * v
-        den = np.asarray(den, dtype=float)
-        if np.any(den <= 0.0):
-            raise NumericDomainError("tilt denominator not positive on [0, 1]")
-        return ((1.0 - p) if side == "check" else p) * v / den
-
-    return f
+def _tilted_edge_values(node_fn: Callable, edge_fn: Callable, x, side: str, p: float) -> np.ndarray:
+    """Tilted edge function of one side at real arguments x."""
+    node = np.asarray(node_fn(x), dtype=float)
+    if np.any(1.0 - _weights(side, p)[1] * node <= 0.0):
+        raise NumericDomainError("tilt denominator not positive on [0, 1]")
+    return tilt(node, np.asarray(edge_fn(x), dtype=float), side, p)[1]
 
 
-def tilt_edge_fn(node_fn: Callable, edge_fn: Callable, side: str, p: float) -> Callable:
-    def f(x):
-        v = node_fn(x)
-        if side == "check":
-            den = 1.0 - p * v
-            scale = (1.0 - p) ** 2
-        else:
-            den = 1.0 - (1.0 - p) * v
-            scale = p ** 2
-        den = np.asarray(den, dtype=float)
-        if np.any(den <= 0.0):
-            raise NumericDomainError("tilt denominator not positive on [0, 1]")
-        return scale * edge_fn(x) / den ** 2
-
-    return f
+#: Sides each family's graph reduction tilts.
+TILTED_SIDES = {"ARA": ("bit", "check"), "NSIRA": ("check",), "ALDPC": ("bit",), "LDPC": ()}
 
 
 @dataclass(frozen=True)
@@ -117,19 +114,16 @@ def tilt_edge(pair: DegreePair, family: Optional[str] = None, p: Optional[float]
     family = family or pair.family
     p = _check_p(pair.p if p is None else p)
     M = max(pair.bit.order, pair.check.order)
+    tilted = TILTED_SIDES[family]
 
     lam_series, lam_fn = pair.bit.edge.truncated(M), pair.bit_edge_fn()
     rho_series, rho_fn = pair.check.edge.truncated(M), pair.check_edge_fn()
-    if family in ("ARA", "ALDPC"):
-        den = 1.0 - (1.0 - p) * pair.bit.node
-        lam_series = ((p ** 2) * pair.bit.edge.truncated(M)) / (den * den)
-        lam_series = lam_series.truncated(M)
-        lam_fn = tilt_edge_fn(pair.bit_node_fn(), pair.bit_edge_fn(), "bit", p)
-    if family in ("ARA", "NSIRA"):
-        den = 1.0 - p * pair.check.node
-        rho_series = (((1.0 - p) ** 2) * pair.check.edge.truncated(M)) / (den * den)
-        rho_series = rho_series.truncated(M)
-        rho_fn = tilt_edge_fn(pair.check_node_fn(), pair.check_edge_fn(), "check", p)
+    if "bit" in tilted:
+        lam_series = tilt(pair.bit.node, lam_series, "bit", p)[1].truncated(M)
+        lam_fn = partial(_tilted_edge_values, pair.bit_node_fn(), lam_fn, side="bit", p=p)
+    if "check" in tilted:
+        rho_series = tilt(pair.check.node, rho_series, "check", p)[1].truncated(M)
+        rho_fn = partial(_tilted_edge_values, pair.check_node_fn(), rho_fn, side="check", p=p)
     return TiltedPair(lam_series, rho_series, lam_fn, rho_fn, p)
 
 
@@ -187,28 +181,17 @@ def de_residual(pair: DegreePair, x, family: Optional[str] = None, p: Optional[f
     p = _check_p(pair.p if p is None else p)
     x = np.asarray(x, dtype=float)
 
-    lam = pair.bit_edge_fn()
-    L = pair.bit_node_fn()
-    rho = pair.check_edge_fn()
-    R = pair.check_node_fn()
+    tilted = TILTED_SIDES[family]
 
-    y = 1.0 - x
-    if family in ("ARA", "NSIRA"):
-        inner = ((1.0 - p) / (1.0 - p * np.asarray(R(y), dtype=float))) ** 2 * np.asarray(
-            rho(y), dtype=float
-        )
-    else:
-        inner = np.asarray(rho(y), dtype=float)
-    arg = 1.0 - inner
+    def side_values(node_fn, edge_fn, arg, side):
+        if side in tilted:
+            return _tilted_edge_values(node_fn, edge_fn, arg, side, p)
+        return np.asarray(edge_fn(arg), dtype=float)
 
-    if family in ("ARA", "ALDPC"):
-        lhs = (p ** 2) * np.asarray(lam(arg), dtype=float) / (
-            1.0 - (1.0 - p) * np.asarray(L(arg), dtype=float)
-        ) ** 2
-    elif family == "NSIRA":
-        lhs = np.asarray(lam(arg), dtype=float)
-    else:  # plain LDPC pair at channel erasure p
-        lhs = p * np.asarray(lam(arg), dtype=float)
+    inner = side_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check")
+    lhs = side_values(pair.bit_node_fn(), pair.bit_edge_fn(), 1.0 - inner, "bit")
+    if not tilted:  # plain LDPC pair at channel erasure p
+        lhs = p * lhs
     out = lhs - x
     return float(out) if out.ndim == 0 else out
 

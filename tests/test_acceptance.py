@@ -47,17 +47,7 @@ def criterion(num, title):
     return deco
 
 
-REPRESENTATIVE_P = {
-    "self-matched-ara": 0.5,
-    "self-matched-nsira": 0.5,
-    "self-matched-aldpc": 0.5,
-    "bit-regular-ara": 0.2,
-    "check-regular-ara": 0.8,
-    "check-regular-nsira": 0.5,
-    "bit-regular-nsira": 0.07,
-    "bit-regular-aldpc": 0.5,
-    "check-regular-aldpc": 0.93,
-}
+REPRESENTATIVE_P = {name: entry.representative_p for name, entry in CATALOG.items()}
 
 _pair_cache: dict = {}
 

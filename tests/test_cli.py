@@ -84,6 +84,17 @@ class TestSimulate:
         assert lines[0].startswith("p,bit_rate")
         assert len(lines) == 3
 
+    def test_non_ara_family_exit_code(self, capsys, tmp_path):
+        out_path = tmp_path / "nsira.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--family", "self-matched-nsira",
+            "--p-start", "0.35", "--p-stop", "0.4", "--p-step", "0.05",
+            "--k", "256", "--trials", "2", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "ARA" in err
+        assert not out_path.exists()
+
     def test_bad_config_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--family", "self-matched-ara",

@@ -17,6 +17,7 @@ from aracodes.constructions import (
     lambert_w0,
     matched_cubic_edge_fn,
     matched_cubic_edge_series,
+    matched_image_series,
     nsira_bit_regular,
     nsira_check_regular,
     self_matched_aldpc,
@@ -27,7 +28,7 @@ from aracodes.constructions import (
     solve_check_from_bit,
     validity_region,
 )
-from aracodes.powerseries import InvalidParameterError, ValidityError, monomial
+from aracodes.powerseries import InvalidParameterError, PowerSeries, ValidityError, monomial
 
 
 class TestLambertW:
@@ -278,6 +279,20 @@ class TestSolveCheckFromBit:
         want = ref.check_node_fn()(xs)
         got = np.array([float(sol.R_fn(float(x))) for x in xs])
         assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_irregular_bit_side(self):
+        # the series route (Newton) and the pointwise route (bisection and
+        # quadrature) are independent; they must agree inside the disc
+        p = 0.3
+        L = PowerSeries([0.0, 0.0, 0.3, 0.5, 0.0, 0.2])
+        sol = solve_check_from_bit(L, p, order=400)
+        xs = np.linspace(0.0, 0.8, 9)
+        got = np.array([float(sol.R_fn(float(x))) for x in xs])
+        assert np.max(np.abs(sol.R(xs) - got)) < 1e-8
+        # the matched image v = 1 - rho~ solves lam~(v) = 1 - x
+        v = 1.0 - matched_image_series(L, p, order=400)(xs)
+        lam = L.derivative() * (1.0 / L.deriv_at_one())
+        assert np.allclose(tilting.tilt(L(v), lam(v), "bit", p)[1], 1.0 - xs, atol=1e-10)
 
     def test_rho_normalized_without_truncation(self):
         sol = solve_check_from_bit(monomial(3, 6), 0.25, order=128)

@@ -16,6 +16,7 @@ from aracodes.nonneg import (
     strip_head,
     verify_bitreg_ara,
     verify_checkreg_nsira,
+    verify_family,
 )
 from aracodes.powerseries import InvalidParameterError, t_operator
 
@@ -125,16 +126,43 @@ class TestSelfMatchedCondition:
 
 
 class TestFamilyVerifiers:
-    @pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
-    def test_checkreg_nsira_passes(self, p):
-        assert verify_checkreg_nsira(p, GRID).verdict == "pass"
+    @pytest.mark.parametrize(
+        "p, grid_n",
+        [pytest.param(p, GRID, id=str(p)) for p in (0.1, 0.5, 0.9, 0.99)]
+        + [
+            pytest.param(p, n, id=f"{p}-{n}")
+            for n in (8192, 16384)
+            for p in (0.1, 0.5, 0.9)
+        ],
+    )
+    def test_checkreg_nsira_passes(self, p, grid_n):
+        # the integral includes the sliver [0, X_MIN] the grid leaves out
+        report = verify_checkreg_nsira(p, grid_n)
+        assert report.verdict == "pass"
+        assert report.integral > 0.0
 
     @pytest.mark.parametrize("p", [0.2, 0.26])
     def test_bitreg_ara_passes(self, p):
         assert verify_bitreg_ara(p, GRID).verdict == "pass"
 
     def test_bitreg_ara_breaks_down(self):
-        assert verify_bitreg_ara(0.45, GRID).verdict in ("fail", "inconclusive")
+        for grid_n in (GRID, 8192):
+            assert verify_bitreg_ara(0.45, grid_n).verdict in ("fail", "inconclusive")
+
+    def test_family_report_uses_swapped_p(self):
+        # the swap images are certified by the same function at 1 - p
+        direct = verify_family("check-regular-nsira", 0.3, grid_n=GRID)
+        mirror = verify_family("bit-regular-aldpc", 0.7, grid_n=GRID)
+        assert direct["verdict"] == mirror["verdict"] == "pass"
+        assert direct["integral"] == pytest.approx(mirror["integral"], abs=1e-12)
+        assert list(direct) == [
+            "family", "p", "verdict", "min_second_difference", "integral", "head_min",
+            "first_200_coeff_min",
+        ]
+
+    def test_family_without_verifier(self):
+        with pytest.raises(InvalidParameterError):
+            verify_family("bit-regular-nsira", 0.07)
 
     def test_oracle_equivalence(self):
         # whenever the circle criterion passes, direct extraction agrees

@@ -1,0 +1,30 @@
+"""Smoke tests: the experiment scripts run against the current library."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from aracodes.constructions import CATALOG
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_complexity_table_covers_catalog(capsys):
+    load_script("complexity_table").main()
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1 + len(CATALOG)
+    rows = {line.split()[0]: line.split() for line in lines[1:]}
+    assert set(rows) == set(CATALOG)
+    for name, row in rows.items():
+        p = float(row[1])
+        assert p == CATALOG[name].representative_p
+        assert float(row[2]) == pytest.approx(1.0 - p, abs=1e-3)
+        assert float(row[-1]) < 1e-9

@@ -4,7 +4,15 @@ import pytest
 from aracodes import codec
 from aracodes.constructions import self_matched_ara
 from aracodes.powerseries import InvalidParameterError
-from aracodes.sim import SimConfig, bec_channel, emit_csv, make_puncture_mask, parse_csv, run_sweep
+from aracodes.sim import (
+    SimConfig,
+    SimResult,
+    bec_channel,
+    emit_csv,
+    make_puncture_mask,
+    parse_csv,
+    run_sweep,
+)
 
 
 def small_config(**overrides):
@@ -176,6 +184,18 @@ class TestCsv:
         res = run_sweep(small_config(trials=30))
         lo, hi = res.word_rate_interval(0)
         assert 0.0 <= lo <= res.word_rates[0] <= hi <= 1.0
+
+    def test_word_rate_interval_at_extremes(self):
+        res = SimResult(config=small_config(), word_rates=[0.0, 1.0], trials_run=[30, 30])
+        lo, hi = res.word_rate_interval(0)
+        assert lo == 0.0 and hi > 0.05
+        lo, hi = res.word_rate_interval(1)
+        assert lo < 0.95 and hi == 1.0
+
+    def test_non_ara_family_rejected(self):
+        for design_p in (None, 0.5):
+            with pytest.raises(InvalidParameterError, match="ARA"):
+                run_sweep(small_config(family="self-matched-nsira", design_p=design_p))
 
     def test_header_only_for_empty_sweep(self, tmp_path):
         cfg = small_config()

@@ -23,9 +23,11 @@ from aracodes.tilting import (
     stability,
     symmetry_swap,
     threshold_search,
+    tilt,
     tilt_edge,
     tilt_node,
     truncate_pair,
+    untilt,
     untilt_node,
 )
 
@@ -86,6 +88,31 @@ class TestNodeTilt:
         node = PowerSeries(coeffs)
         back = untilt_node(tilt_node(node, side, p), side, p)
         assert np.allclose(back.coeffs, node.coeffs, atol=1e-9)
+
+
+class TestTiltCore:
+    @pytest.mark.parametrize("side", ["bit", "check"])
+    def test_untilt_inverts_tilt_on_real_and_complex_values(self, side):
+        x = np.linspace(0.0, 1.0, 17)
+        z = np.exp(1j * np.linspace(0.1, np.pi, 17))
+        for node, edge in ((x ** 3, x ** 2), (0.5 * z ** 2 + 0.5 * z ** 3, 0.4 * z + 0.6 * z ** 2)):
+            back = untilt(*tilt(node, edge, side, 0.3), side, 0.3)
+            assert np.allclose(back[0], node, atol=1e-14)
+            assert np.allclose(back[1], edge, atol=1e-14)
+
+    @pytest.mark.parametrize("side", ["bit", "check"])
+    def test_series_and_values_agree(self, side):
+        node = PowerSeries([0.0, 0.0, 0.4, 0.6])
+        edge = PowerSeries([0.0, 0.8, 1.8]) * (1.0 / 2.6)
+        node_t, edge_t = tilt(node.truncated(200), edge.truncated(200), side, 0.35)
+        xs = np.linspace(0.0, 0.8, 9)
+        want = tilt(node(xs), edge(xs), side, 0.35)
+        assert np.allclose(node_t(xs), want[0], atol=1e-12)
+        assert np.allclose(edge_t(xs), want[1], atol=1e-12)
+
+    def test_bad_side(self):
+        with pytest.raises(InvalidParameterError):
+            tilt(np.ones(2), np.ones(2), "edge", 0.5)
 
 
 class TestEdgeTilt:
