@@ -255,17 +255,16 @@ class Codeword:
         return "".join(str(int(b)) for b in self.u) + "|" + "".join(str(int(b)) for b in self.z)
 
 
-def encode(inst: CodeInstance, info: np.ndarray, pilots_zeroed: bool = True) -> Codeword:
+def encode(inst: CodeInstance, info: np.ndarray) -> Codeword:
     """Systematic encoding: accumulate, permute into checks, accumulate.
 
     Pilot positions have their systematic bit chosen so the corresponding
     punctured bit is zero; the last m systematic bits force the punctured
-    bits to satisfy the outer code.  With ``pilots_zeroed`` off, pilots
-    consume info bits like ordinary positions (the decoder must match).
+    bits to satisfy the outer code.
     """
     info = (np.asarray(info, dtype=np.uint8) & 1).astype(np.uint8)
     k, m = inst.k, inst.m_outer
-    pilots = inst.pilot_set if pilots_zeroed else np.empty(0, dtype=np.int64)
+    pilots = inst.pilot_set
     expected = k - len(pilots) - m
     if len(info) != expected:
         raise InvalidParameterError(f"expected {expected} info bits, got {len(info)}")
@@ -298,14 +297,14 @@ def encode(inst: CodeInstance, info: np.ndarray, pilots_zeroed: bool = True) -> 
     return Codeword(u=u, z=z)
 
 
-def check_codeword(inst: CodeInstance, cw: Codeword, pilots_zeroed: bool = True) -> bool:
+def check_codeword(inst: CodeInstance, cw: Codeword) -> bool:
     """Exhaustively verify all graph, pilot, and outer-code constraints."""
     v = (np.cumsum(cw.u, dtype=np.int64) & 1).astype(np.uint8)
     w = np.bitwise_xor.reduceat(v[inst.edge_targets], inst.check_offsets[:-1])
     z = (np.cumsum(w, dtype=np.int64) & 1).astype(np.uint8)
     if not np.array_equal(z, cw.z):
         return False
-    if pilots_zeroed and len(inst.pilot_set) and np.any(v[inst.pilot_set]):
+    if np.any(v[inst.pilot_set]):
         return False
     m = inst.m_outer
     if m:
@@ -360,17 +359,13 @@ class ResidualGraph:
     grp_syndrome: np.ndarray
     grp_count: np.ndarray  # unknown classes per group (after cancellation)
     grp_xor: np.ndarray  # xor of unknown class ids per group
-    grp_classes: np.ndarray  # flat unknown-class lists (post-cancellation)
-    grp_offsets: np.ndarray
     class_groups: np.ndarray  # flat group lists per class
     class_offsets: np.ndarray
     merged_degree_sums: np.ndarray  # summed raw check degrees per closed group
     n_unclosed: int
 
 
-def graph_reduce_instance(
-    inst: CodeInstance, rcv: ReceivedWord, pilots_known: bool = True
-) -> ResidualGraph:
+def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGraph:
     """Collapse both accumulator chains against the received word.
 
     Known parity bits close check groups with a definite syndrome; a
@@ -396,10 +391,9 @@ def graph_reduce_instance(
     known = np.zeros(n_classes, dtype=bool)
     vals = np.zeros(n_classes, dtype=np.uint8)
     known[0] = True  # anchored to the virtual zero state before the first bit
-    if pilots_known and len(inst.pilot_set):
-        pc = cls[inst.pilot_set]
-        known[pc] = True
-        vals[pc] = off[inst.pilot_set]
+    pc = cls[inst.pilot_set]
+    known[pc] = True
+    vals[pc] = off[inst.pilot_set]
 
     # check groups between observed parity bits
     observed_z = z_vals >= 0
@@ -443,19 +437,13 @@ def graph_reduce_instance(
         e_grp = np.empty(0, dtype=np.int64)
         e_cls = np.empty(0, dtype=np.int64)
 
-    grp_count = np.zeros(n_obs, dtype=np.int64)
+    grp_count = np.bincount(e_grp, minlength=n_obs)
     grp_xor = np.zeros(n_obs, dtype=np.int64)
-    np.add.at(grp_count, e_grp, 1)
     np.bitwise_xor.at(grp_xor, e_grp, e_cls)
-    grp_offsets = np.concatenate([[0], np.cumsum(grp_count)]).astype(np.int64)
-    order = np.argsort(e_grp, kind="stable")
-    grp_classes = e_cls[order]
 
-    order_c = np.argsort(e_cls, kind="stable")
-    class_counts = np.zeros(n_classes, dtype=np.int64)
-    np.add.at(class_counts, e_cls, 1)
+    class_counts = np.bincount(e_cls, minlength=n_classes)
     class_offsets = np.concatenate([[0], np.cumsum(class_counts)]).astype(np.int64)
-    class_groups = e_grp[order_c]
+    class_groups = e_grp[np.argsort(e_cls, kind="stable")]
 
     return ResidualGraph(
         n_classes=n_classes,
@@ -466,8 +454,6 @@ def graph_reduce_instance(
         grp_syndrome=grp_syndrome,
         grp_count=grp_count,
         grp_xor=grp_xor,
-        grp_classes=grp_classes,
-        grp_offsets=grp_offsets,
         class_groups=class_groups,
         class_offsets=class_offsets,
         merged_degree_sums=merged_sums,
@@ -506,97 +492,61 @@ def peel_decode(rg: ResidualGraph) -> int:
     return resolved
 
 
-class _ParityUnionFind:
-    """Union-find over unknown classes carrying a parity offset to the root."""
-
-    def __init__(self, ids):
-        self.parent = {int(c): int(c) for c in ids}
-        self.parity = {int(c): 0 for c in ids}
-
-    def find_with_parity(self, c: int) -> tuple[int, int]:
-        root = c
-        par = 0
-        while self.parent[root] != root:
-            par ^= self.parity[root]
-            root = self.parent[root]
-        # path compression
-        node = c
-        acc = par
-        while self.parent[node] != node:
-            nxt = self.parent[node]
-            npar = self.parity[node]
-            self.parent[node] = root
-            self.parity[node] = acc
-            acc ^= npar
-            node = nxt
-        return root, par
-
-    def union(self, a: int, b: int, s: int) -> bool:
-        ra, pa = self.find_with_parity(a)
-        rb, pb = self.find_with_parity(b)
-        if ra == rb:
-            return False  # dependent constraint (consistent on the BEC)
-        self.parent[ra] = rb
-        self.parity[ra] = pa ^ pb ^ s
-        return True
-
-
 def outer_decode(rg: ResidualGraph, inst: CodeInstance) -> bool:
     """Solve the unknowns left after peeling against the outer code.
 
-    Leftover degree-2 groups act as (affine) equalities merging unknowns;
-    the outer constraints then form an m x (remaining) binary system that
-    succeeds exactly when it has full column rank.  On success the class
-    values in ``rg`` are filled in.
+    One GF(2) system over the unknown classes: a row x_a + x_b = syndrome
+    per leftover degree-2 group, and a row per outer constraint
+    [outer_P | I] written in class terms.  It succeeds exactly when that
+    system has full column rank.  On success the class values in ``rg``
+    are filled in.
     """
     unknown = np.flatnonzero(~rg.known)
-    if len(unknown) == 0:
+    n_unknown = len(unknown)
+    if n_unknown == 0:
         return True
     m = inst.m_outer
-    if m == 0:
+    is_two = rg.grp_count == 2
+    n_two = int(np.count_nonzero(is_two))
+    if m == 0 or n_unknown - n_two > m:
+        # too few rows for full rank; degree-2 rows alone never suffice,
+        # since complementing every unknown satisfies each of them too
         return False
 
-    uf = _ParityUnionFind(unknown)
-    for g in np.flatnonzero(rg.grp_count == 2):
-        members = [
-            int(c)
-            for c in rg.grp_classes[rg.grp_offsets[g] : rg.grp_offsets[g + 1]]
-            if not rg.known[c]
-        ]
-        if len(members) == 2:
-            uf.union(members[0], members[1], int(rg.grp_syndrome[g]))
+    A = np.zeros((n_two + m, n_unknown), dtype=np.uint8)
+    b = np.zeros(n_two + m, dtype=np.uint8)
 
-    roots = sorted({uf.find_with_parity(int(c))[0] for c in unknown})
-    col_of = {r: i for i, r in enumerate(roots)}
-    n_cols = len(roots)
-    if n_cols > m:
-        return False  # rank bound: more merged unknowns than equations
+    # degree-2 rows, read off the class->group lists of the unknown classes
+    lo = rg.class_offsets[unknown]
+    lens = rg.class_offsets[unknown + 1] - lo
+    flat = np.arange(int(lens.sum())) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+    col = np.repeat(np.arange(n_unknown), lens)
+    grp = rg.class_groups[flat]
+    keep = is_two[grp]
+    row_of = np.cumsum(is_two) - 1
+    A[row_of[grp[keep]], col[keep]] = 1
+    b[:n_two] = rg.grp_syndrome[is_two]
 
-    k = inst.k
-    A = np.zeros((m, n_cols), dtype=np.uint8)
-    b = np.zeros(m, dtype=np.uint8)
-    for r in range(m):
-        positions = np.flatnonzero(inst.outer_P[r]).tolist()
-        positions.append(k - m + r)
-        rhs = 0
-        for j in positions:
-            c = int(rg.cls[j])
-            rhs ^= int(rg.off[j])
-            if rg.known[c]:
-                rhs ^= int(rg.vals[c])
-            else:
-                root, par = uf.find_with_parity(c)
-                rhs ^= par
-                A[r, col_of[root]] ^= 1
-        b[r] = rhs
+    # outer rows: position j holds x_cls[j] ^ const[j]; each unknown class
+    # is a contiguous run of positions, so its column is an xor over the run
+    head = inst.k - m
+    const = rg.off ^ (rg.vals & rg.known)[rg.cls]
+    # uint8 sums wrap mod 256, which keeps their parity
+    b[n_two:] = (inst.outer_P @ const[:head] + const[head:]) & 1
+    pos = np.flatnonzero(~rg.known[rg.cls])
+    H = np.zeros((m, len(pos)), dtype=np.uint8)
+    front = pos < head
+    H[:, front] = inst.outer_P[:, pos[front]]
+    tail = np.flatnonzero(~front)
+    H[pos[tail] - head, tail] = 1
+    runs = np.flatnonzero(np.diff(rg.cls[pos], prepend=-1))
+    A[n_two:] = np.bitwise_xor.reduceat(H, runs, axis=1)
 
     x = gf2_solve_unique(A, b)
     if x is None:
         return False
-    for c in unknown:
-        root, par = uf.find_with_parity(int(c))
-        rg.vals[c] = x[col_of[root]] ^ par
-        rg.known[c] = True
+    rg.vals[unknown] = x
+    rg.known[unknown] = True
     return True
 
 
@@ -610,11 +560,9 @@ class DecodeResult:
     info_len: int
 
 
-def decode(
-    inst: CodeInstance, rcv: ReceivedWord, use_outer: bool = True, pilots_known: bool = True
-) -> DecodeResult:
+def decode(inst: CodeInstance, rcv: ReceivedWord, use_outer: bool = True) -> DecodeResult:
     """Full decode: graph reduction, peeling, then the outer-code solve."""
-    rg = graph_reduce_instance(inst, rcv, pilots_known=pilots_known)
+    rg = graph_reduce_instance(inst, rcv)
     peel_decode(rg)
     unresolved = float(np.count_nonzero(~rg.known[rg.cls])) / max(inst.k, 1)
     rescued = False
@@ -650,9 +598,7 @@ def decode(
 # brute-force reference decoder (small instances)
 # ---------------------------------------------------------------------------
 
-def ml_reference_decode(
-    inst: CodeInstance, rcv: ReceivedWord, pilots_known: bool = True
-) -> tuple[bool, Optional[np.ndarray]]:
+def ml_reference_decode(inst: CodeInstance, rcv: ReceivedWord) -> tuple[bool, Optional[np.ndarray]]:
     """Full GF(2) solve of every constraint; the optimal erasure decoder.
 
     Returns (unique, v) where unique says the entire state is pinned by
@@ -695,12 +641,11 @@ def ml_reference_decode(
                 r ^= int(rcv.z_vals[zi])
         rows.append(row)
         rhs.append(r)
-    if pilots_known:
-        for j in inst.pilot_set:
-            row = np.zeros(n_vars, dtype=np.uint8)
-            row[j] = 1
-            rows.append(row)
-            rhs.append(0)
+    for j in inst.pilot_set:
+        row = np.zeros(n_vars, dtype=np.uint8)
+        row[j] = 1
+        rows.append(row)
+        rhs.append(0)
     for r_out in range(m):
         row = np.zeros(n_vars, dtype=np.uint8)
         row[k - m + r_out] ^= 1

@@ -310,19 +310,21 @@ def first_coefficients_min(family: str, p: float, order: int = 200) -> float:
 def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int = 8192) -> dict:
     """Non-negativity report of a catalog family at design p, as a JSON-ready dict.
 
-    Self-matched families get the closed-form scale condition and the
-    circle criterion on the log-ratio candidate at the larger scale; the
-    degree-3 families get the circle criterion on their tested side and
-    the direct series oracle.
+    Self-matched families get the closed-form scale condition, plus the
+    circle criterion and the series oracle on the log-ratio candidate at
+    the largest scale among the sides the family tilts.  The degree-3
+    families get the circle criterion on their tested side and the direct
+    series oracle.
     """
     entry = catalog_entry(family)
     doc = {"family": family, "p": p}
     if entry.verifier == VERIFY_SCALES:
         b = solve_b(p) if b is None else b
-        c1, c2 = self_matched_scales(p, b)
+        scales = dict(zip(("bit", "check"), self_matched_scales(p, b)))
+        c = max(scales[side] for side in TILTED_SIDES[entry.tag])
         doc.update(b=b, closed_form_condition=self_matched_condition(p, b, entry.tag), critical_c=C_STAR)
-        report = polya_verify(self_matched_candidate(max(c1, c2)), grid_n=grid_n)
-        series_min = float(log_ratio_series(c1, 200).coeffs.min())
+        report = polya_verify(self_matched_candidate(c), grid_n=grid_n)
+        series_min = float(log_ratio_series(c, 200).coeffs.min())
     elif entry.verifier in (VERIFY_CUBIC, VERIFY_BITREG):
         verify = verify_checkreg_nsira if entry.verifier == VERIFY_CUBIC else verify_bitreg_ara
         report = verify(entry.verified_p(p)[0], grid_n=grid_n)

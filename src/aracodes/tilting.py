@@ -212,16 +212,26 @@ def stability(pair: DegreePair, p: Optional[float] = None, marginal_tol: float =
     exceeds one, which needs degree-2 check mass.  Exactly matched pairs
     have both derivatives equal to one (the map is the identity), so the
     predicates treat values within ``marginal_tol`` of one as holding.
+    Each slope multiplies one side's edge slope at 0 by the other's at 1,
+    tilted for the sides the family's graph reduction tilts.
     """
     p = _check_p(pair.p if p is None else p)
-    lam2 = float(pair.bit.edge.coeffs[1]) if pair.bit.edge.order >= 1 else 0.0
-    rho2 = float(pair.check.edge.coeffs[1]) if pair.check.edge.order >= 1 else 0.0
-    lam_deriv1 = pair.bit.edge.deriv_at_one()
-    rho_deriv1 = pair.check.edge.deriv_at_one()
-    Lp1 = pair.bit.mean
-    Rp1 = pair.check.mean
-    margin0 = p ** 2 * lam2 * (rho_deriv1 + 2.0 * p * Rp1 / (1.0 - p))
-    margin1 = (1.0 - p) ** 2 * rho2 * (lam_deriv1 + 2.0 * (1.0 - p) * Lp1 / p)
+    tilted = TILTED_SIDES[pair.family]
+
+    def slopes(dist: DegreeDistribution, side: str) -> tuple[float, float]:
+        """Edge-function slopes of one side at 0 and at 1."""
+        e2 = float(dist.edge.coeffs[1]) if dist.edge.order >= 1 else 0.0
+        e1 = dist.edge.deriv_at_one()
+        if side not in tilted:
+            return e2, e1
+        a, w = _weights(side, p)
+        return a * a * e2, e1 + 2.0 * w * dist.mean / a
+
+    lam0, lam1 = slopes(pair.bit, "bit")
+    rho0, rho1 = slopes(pair.check, "check")
+    scale = 1.0 if tilted else p  # plain LDPC pair at channel erasure p
+    margin0 = scale * lam0 * rho1
+    margin1 = scale * rho0 * lam1
     return StabilityReport(
         margin0 < 1.0 + marginal_tol, margin1 > 1.0 - marginal_tol, margin0, margin1
     )

@@ -312,27 +312,65 @@ class TestDecodeEndToEnd:
         assert a.success == b.success
         assert np.array_equal(a.v_vals, b.v_vals)
 
-    def test_never_wrong_vs_reference(self):
+    def test_never_wrong_vs_reference(self, monkeypatch):
+        # record how many degree-2 groups each outer call sees
+        outer_calls = []
+
+        def recording_outer(rg, inst):
+            outer_calls.append(int(np.count_nonzero(rg.grp_count == 2)))
+            return outer_decode(rg, inst)
+
+        monkeypatch.setattr(codec, "outer_decode", recording_outer)
         pair = self_matched_ara(0.5, order=64)
         rng = np.random.default_rng(42)
         checked = 0
-        for s in range(40):
-            k = int(rng.integers(6, 17))
-            m = int(rng.integers(0, 4))
-            inst = instantiate(pair, k=k, d_L=12, d_R=12, m_outer=m, seed=s)
-            info = rng.integers(0, 2, inst.info_len, dtype=np.uint8)
-            cw = encode(inst, info)
-            v_true = np.cumsum(cw.u) & 1
-            for t in range(10):
-                rcv = erase(cw, rng, float(rng.uniform(0.1, 0.7)))
-                res = decode(inst, rcv)
-                unique, v_ml = ml_reference_decode(inst, rcv)
-                if res.success:
-                    assert unique
-                    assert np.array_equal(res.v_vals, v_ml)
-                    assert np.array_equal(res.v_vals, v_true)
-                checked += 1
-        assert checked == 400
+        # tiny instances, then instances large enough for degree-2 leftovers
+        for k_range, m_range, n_instances in [((6, 17), (0, 4), 40), ((48, 97), (4, 9), 30)]:
+            outer_calls.clear()
+            for s in range(n_instances):
+                k = int(rng.integers(*k_range))
+                m = int(rng.integers(*m_range))
+                inst = instantiate(pair, k=k, d_L=12, d_R=12, m_outer=m, seed=s)
+                info = rng.integers(0, 2, inst.info_len, dtype=np.uint8)
+                cw = encode(inst, info)
+                v_true = np.cumsum(cw.u) & 1
+                for t in range(10):
+                    rcv = erase(cw, rng, float(rng.uniform(0.1, 0.7)))
+                    res = decode(inst, rcv)
+                    unique, v_ml = ml_reference_decode(inst, rcv)
+                    if res.success:
+                        assert unique
+                        assert np.array_equal(res.v_vals, v_ml)
+                        assert np.array_equal(res.v_vals, v_true)
+                    checked += 1
+        assert checked == 700
+        assert sum(n_two > 0 for n_two in outer_calls) >= 20
+
+    def test_outer_solves_through_degree_two_cycle(self):
+        # seeded case: after peeling, the degree-2 groups over the unknown
+        # classes contain a cycle, so one of their rows is redundant
+        pair = self_matched_ara(0.5, order=64)
+        inst = instantiate(pair, k=64, d_L=12, d_R=12, m_outer=6, seed=21)
+        rng = np.random.default_rng(21)
+        cw = encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8))
+        rcv = erase(cw, rng, 0.45)
+
+        rg = graph_reduce_instance(inst, rcv)
+        peel_decode(rg)
+        unknown = np.flatnonzero(~rg.known)
+        two = np.flatnonzero(rg.grp_count == 2)
+        D = np.zeros((len(two), len(unknown)), dtype=np.uint8)
+        for j, c in enumerate(unknown):
+            groups = rg.class_groups[rg.class_offsets[c] : rg.class_offsets[c + 1]]
+            D[np.searchsorted(two, groups[rg.grp_count[groups] == 2]), j] = 1
+        assert np.all(D.sum(axis=1) == 2)
+        assert gf2_eliminate(D, np.zeros(len(two), dtype=np.uint8))[0] < len(two)
+
+        res = decode(inst, rcv)
+        unique, v_ml = ml_reference_decode(inst, rcv)
+        assert res.success and res.rescued_by_outer and unique
+        assert np.array_equal(res.v_vals, v_ml)
+        assert np.array_equal(res.v_vals, np.cumsum(cw.u) & 1)
 
     def test_outer_only_rescues(self):
         pair = self_matched_ara(0.5, order=256)

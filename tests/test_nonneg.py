@@ -160,6 +160,23 @@ class TestFamilyVerifiers:
             "first_200_coeff_min",
         ]
 
+    @pytest.mark.parametrize(
+        "family, p, verdict, series_min",
+        [
+            ("self-matched-nsira", 0.3, "pass", 0.0),
+            ("self-matched-nsira", 0.6, "fail", -0.0444),
+            ("self-matched-aldpc", 0.7, "pass", 0.0),
+            ("self-matched-aldpc", 0.4, "fail", -0.0444),
+        ],
+    )
+    def test_self_matched_report_uses_tilted_scale(self, family, p, verdict, series_min):
+        # NSIRA tilts only the check side and ALDPC only the bit side, so the
+        # untilted scale must not decide the verdict or the series minimum
+        doc = verify_family(family, p, b=0.95, grid_n=GRID)
+        assert doc["closed_form_condition"] == (verdict == "pass")
+        assert doc["verdict"] == verdict
+        assert doc["first_200_coeff_min"] == pytest.approx(series_min, abs=1e-4)
+
     def test_family_without_verifier(self):
         with pytest.raises(InvalidParameterError):
             verify_family("bit-regular-nsira", 0.07)

@@ -28,3 +28,16 @@ def test_complexity_table_covers_catalog(capsys):
         assert p == CATALOG[name].representative_p
         assert float(row[2]) == pytest.approx(1.0 - p, abs=1e-3)
         assert float(row[-1]) < 1e-9
+
+
+def test_threshold_vs_truncation_rows(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["threshold_vs_truncation.py", "--depths", "6", "12"])
+    load_script("threshold_vs_truncation").main()
+    lines = capsys.readouterr().out.strip().split("\n")
+    rows = [line.split() for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == [6, 12]
+    for row in rows:
+        filled, rate, chopped = map(float, row[1:])
+        assert 0.0 < chopped < 0.5 < filled  # around the design p = 0.5
+        assert 0.0 < rate < 0.5  # degree-1 fill trades rate for threshold
+    assert float(rows[0][3]) < float(rows[1][3])  # plain chop climbs back with depth

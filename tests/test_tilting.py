@@ -233,9 +233,10 @@ class TestStability:
         rep = stability(pair)
         assert not rep.unstable_at_1
 
-    def test_self_matched_holds_both(self):
+    @pytest.mark.parametrize("family", ["self-matched-ara", "self-matched-nsira", "self-matched-aldpc"])
+    def test_self_matched_holds_both(self, family):
         # exactly matched pairs sit on the boundary: both derivatives are 1
-        pair = cons.self_matched_ara(0.5, order=256)
+        pair = cons.build_catalog_pair(family, 0.5, order=256)
         rep = stability(pair)
         assert rep.stable_at_0 and rep.unstable_at_1
         assert rep.margin_at_0 == pytest.approx(1.0, abs=1e-6)
