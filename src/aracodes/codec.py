@@ -347,8 +347,9 @@ class ResidualGraph:
 
     Punctured bits merge into equality classes (one per erased systematic
     bit, plus the anchored prefix class); checks merge into groups between
-    observed parity bits.  Constraints are kept with running syndromes and
-    the xor-of-ids trick for O(1) degree-1 resolution.
+    observed parity bits.  Each group keeps a running syndrome, and the
+    live (group, unknown class) incidences, cancelled mod 2 and sorted by
+    group, are the whole of the remaining constraint graph.
     """
 
     n_classes: int
@@ -357,12 +358,8 @@ class ResidualGraph:
     known: np.ndarray  # per class
     vals: np.ndarray  # per class
     grp_syndrome: np.ndarray
-    grp_count: np.ndarray  # unknown classes per group (after cancellation)
-    grp_xor: np.ndarray  # xor of unknown class ids per group
-    class_groups: np.ndarray  # flat group lists per class
-    class_offsets: np.ndarray
-    merged_degree_sums: np.ndarray  # summed raw check degrees per closed group
-    n_unclosed: int
+    inc_grp: np.ndarray  # group of each live incidence
+    inc_cls: np.ndarray  # unknown class of each live incidence
 
 
 def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGraph:
@@ -395,55 +392,24 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
     known[pc] = True
     vals[pc] = off[inst.pilot_set]
 
-    # check groups between observed parity bits
+    # check i joins the group closed by the first observed parity bit at or
+    # after it; the trailing unclosed group, if any, has index n_obs
     observed_z = z_vals >= 0
-    n_obs = int(observed_z.sum())
-    grp_of_check = np.concatenate([[0], np.cumsum(observed_z, dtype=np.int64)[:-1]])
-    n_groups_total = int(grp_of_check[-1]) + 1 if inst.n_checks else 0
-    n_unclosed = n_groups_total - n_obs  # 0 or 1
-
-    zo_idx = np.flatnonzero(observed_z)
-    zo = z_vals[zo_idx].astype(np.uint8)
-    synd_closed = zo ^ np.concatenate([[0], zo[:-1]]).astype(np.uint8)
+    grp_of_check = np.cumsum(observed_z, dtype=np.int64) - observed_z
+    zo = z_vals[observed_z].astype(np.uint8)
+    n_obs = len(zo)
 
     sock_grp = np.repeat(grp_of_check, inst.check_degrees)
     sock_cls = cls[inst.edge_targets]
-    sock_const = off[inst.edge_targets] ^ (known[sock_cls] * vals[sock_cls]).astype(np.uint8)
-
-    grp_syndrome = np.zeros(n_obs, dtype=np.uint8)
-    merged_sums = np.zeros(n_obs, dtype=np.int64)
-    if n_obs:
-        closed_mask = sock_grp < n_obs
-        if np.any(closed_mask):
-            cg = sock_grp[closed_mask]
-            const_fold = np.zeros(n_obs, dtype=np.int64)
-            np.add.at(const_fold, cg, sock_const[closed_mask])
-            grp_syndrome = (synd_closed ^ (const_fold & 1)).astype(np.uint8)
-        else:
-            grp_syndrome = synd_closed
-        check_grp = grp_of_check[: inst.n_checks]
-        closed_checks = check_grp < n_obs
-        np.add.at(merged_sums, check_grp[closed_checks], inst.check_degrees[closed_checks])
+    sock_const = off[inst.edge_targets] ^ (vals[sock_cls] & known[sock_cls])
+    flips = np.bincount(sock_grp[sock_const == 1], minlength=n_obs + 1)[:n_obs]
+    grp_syndrome = (zo ^ np.concatenate([[0], zo[:-1]]) ^ (flips & 1)).astype(np.uint8)
 
     # unknown-class incidence with mod-2 multiplicity cancellation
-    if n_obs:
-        live = (sock_grp < n_obs) & ~known[sock_cls]
-        keys = sock_grp[live] * np.int64(n_classes) + sock_cls[live]
-        uniq, counts = np.unique(keys, return_counts=True)
-        odd = uniq[counts % 2 == 1]
-        e_grp = (odd // n_classes).astype(np.int64)
-        e_cls = (odd % n_classes).astype(np.int64)
-    else:
-        e_grp = np.empty(0, dtype=np.int64)
-        e_cls = np.empty(0, dtype=np.int64)
-
-    grp_count = np.bincount(e_grp, minlength=n_obs)
-    grp_xor = np.zeros(n_obs, dtype=np.int64)
-    np.bitwise_xor.at(grp_xor, e_grp, e_cls)
-
-    class_counts = np.bincount(e_cls, minlength=n_classes)
-    class_offsets = np.concatenate([[0], np.cumsum(class_counts)]).astype(np.int64)
-    class_groups = e_grp[np.argsort(e_cls, kind="stable")]
+    live = (sock_grp < n_obs) & ~known[sock_cls]
+    keys = sock_grp[live] * np.int64(n_classes) + sock_cls[live]
+    uniq, counts = np.unique(keys, return_counts=True)
+    odd = uniq[counts % 2 == 1]
 
     return ResidualGraph(
         n_classes=n_classes,
@@ -452,12 +418,8 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
         known=known,
         vals=vals,
         grp_syndrome=grp_syndrome,
-        grp_count=grp_count,
-        grp_xor=grp_xor,
-        class_groups=class_groups,
-        class_offsets=class_offsets,
-        merged_degree_sums=merged_sums,
-        n_unclosed=n_unclosed,
+        inc_grp=odd // n_classes,
+        inc_cls=odd % n_classes,
     )
 
 
@@ -466,30 +428,30 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
 # ---------------------------------------------------------------------------
 
 def peel_decode(rg: ResidualGraph) -> int:
-    """Resolve degree-1 check groups until none remain; returns resolutions."""
-    stack = list(np.flatnonzero(rg.grp_count == 1))
-    resolved = 0
-    count, xor, synd = rg.grp_count, rg.grp_xor, rg.grp_syndrome
-    known, vals = rg.known, rg.vals
-    cg, co = rg.class_groups, rg.class_offsets
-    while stack:
-        g = stack.pop()
-        if count[g] != 1:
-            continue
-        c = int(xor[g])
-        if known[c]:
-            continue
-        value = synd[g]
-        known[c] = True
-        vals[c] = value
-        resolved += 1
-        for gg in cg[co[c] : co[c + 1]]:
-            count[gg] -= 1
-            xor[gg] ^= c
-            synd[gg] ^= value
-            if count[gg] == 1:
-                stack.append(gg)
-    return resolved
+    """Resolve degree-1 check groups round by round; returns resolutions.
+
+    Each round resolves every class that is the last unknown of some
+    group, folds the resolved values into their groups' syndromes and
+    drops their incidences, so afterwards every incidence left names an
+    unknown class.
+    """
+    known, vals, synd = rg.known, rg.vals, rg.grp_syndrome
+    g, c = rg.inc_grp, rg.inc_cls
+    n_known = np.count_nonzero(known)
+    # every round but the last resolves a class, which bounds the rounds
+    for _ in range(rg.n_classes):
+        last = np.bincount(g)[g] == 1
+        if not last.any():
+            break
+        resolved = c[last]
+        known[resolved] = True
+        vals[resolved] = synd[g[last]]
+        done = known[c]
+        ones = g[done][vals[c[done]] == 1]
+        synd ^= (np.bincount(ones, minlength=len(synd)) & 1).astype(np.uint8)
+        g, c = g[~done], c[~done]
+    rg.inc_grp, rg.inc_cls = g, c
+    return int(np.count_nonzero(known) - n_known)
 
 
 def outer_decode(rg: ResidualGraph, inst: CodeInstance) -> bool:
@@ -506,8 +468,10 @@ def outer_decode(rg: ResidualGraph, inst: CodeInstance) -> bool:
     if n_unknown == 0:
         return True
     m = inst.m_outer
-    is_two = rg.grp_count == 2
-    n_two = int(np.count_nonzero(is_two))
+    # incidences are sorted by group, so each degree-2 group is an adjacent pair
+    g, c = rg.inc_grp, rg.inc_cls
+    two = np.bincount(g)[g] == 2
+    n_two = int(np.count_nonzero(two)) // 2
     if m == 0 or n_unknown - n_two > m:
         # too few rows for full rank; degree-2 rows alone never suffice,
         # since complementing every unknown satisfies each of them too
@@ -515,17 +479,8 @@ def outer_decode(rg: ResidualGraph, inst: CodeInstance) -> bool:
 
     A = np.zeros((n_two + m, n_unknown), dtype=np.uint8)
     b = np.zeros(n_two + m, dtype=np.uint8)
-
-    # degree-2 rows, read off the class->group lists of the unknown classes
-    lo = rg.class_offsets[unknown]
-    lens = rg.class_offsets[unknown + 1] - lo
-    flat = np.arange(int(lens.sum())) + np.repeat(lo - np.cumsum(lens) + lens, lens)
-    col = np.repeat(np.arange(n_unknown), lens)
-    grp = rg.class_groups[flat]
-    keep = is_two[grp]
-    row_of = np.cumsum(is_two) - 1
-    A[row_of[grp[keep]], col[keep]] = 1
-    b[:n_two] = rg.grp_syndrome[is_two]
+    A[np.arange(2 * n_two) // 2, np.searchsorted(unknown, c[two])] = 1
+    b[:n_two] = rg.grp_syndrome[g[two][::2]]
 
     # outer rows: position j holds x_cls[j] ^ const[j]; each unknown class
     # is a contiguous run of positions, so its column is an xor over the run

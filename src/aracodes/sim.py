@@ -9,6 +9,8 @@ is order-independent and worker counts do not change results.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -101,26 +103,20 @@ class SimResult:
 def bec_channel(
     cw: codec.Codeword,
     p: float,
-    alpha: float = 1.0,
     seed=0,
     puncture_mask: Optional[np.ndarray] = None,
 ) -> codec.ReceivedWord:
     """Erase each transmitted position independently with probability p.
 
-    Punctured positions (a deterministic 1 - alpha fraction, chosen per
-    instance) are erased regardless of the channel draw.
+    Positions in ``puncture_mask`` (see :func:`make_puncture_mask`) are
+    never transmitted, so they are erased regardless of the channel draw.
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParameterError("alpha must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    n = cw.n
-    erased = rng.random(n) < p
+    erased = rng.random(cw.n) < p
     if puncture_mask is not None:
         erased |= puncture_mask
-    elif alpha < 1.0:
-        erased |= make_puncture_mask(n, alpha, seed)
     k = len(cw.u)
     u_vals = np.where(erased[:k], -1, cw.u).astype(np.int8)
     z_vals = np.where(erased[k:], -1, cw.z).astype(np.int8)
@@ -158,7 +154,7 @@ def _trial_batch(
         cw = codec.encode(inst, info)
         # channel randomness must not depend on the info word or outer setting
         chan_ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(p_index, t, 1))
-        rcv = bec_channel(cw, p, cfg.alpha, chan_ss, puncture_mask)
+        rcv = bec_channel(cw, p, chan_ss, puncture_mask)
         res = codec.decode(inst, rcv, use_outer=cfg.use_outer)
         word_fails += not res.success
         rescued += res.rescued_by_outer
@@ -202,59 +198,65 @@ def run_sweep(cfg: SimConfig) -> SimResult:
         if cfg.alpha < 1.0:
             fixed_mask = make_puncture_mask(fixed_inst.n, cfg.alpha, cfg.seed)
 
-    for p_index, p in enumerate(cfg.p_values()):
-        p = float(p)
-        if fixed_inst is not None:
-            inst, mask = fixed_inst, fixed_mask
-        else:
-            try:
-                pair = build_catalog_pair(
-                    cfg.family, p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven
-                )
-                inst = codec.instantiate(
-                    pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed
-                )
-            except (ValidityError, codec.ConstructionError):
-                result.p_values.append(p)
-                result.bit_rates.append(float("nan"))
-                result.word_rates.append(float("nan"))
-                result.unresolved_means.append(float("nan"))
-                result.outer_rescue_rates.append(float("nan"))
-                result.trials_run.append(0)
-                result.skipped.append(True)
-                continue
-            mask = make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
-
-        if workers > 1 and cfg.trials >= 2 * workers:
-            bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        _trial_batch,
-                        [inst] * workers,
-                        [cfg] * workers,
-                        [p] * workers,
-                        [p_index] * workers,
-                        bounds[:-1],
-                        bounds[1:],
-                        [mask] * workers,
+    # one pool serves every point; without one the trials run in-process
+    use_pool = workers > 1 and cfg.trials >= 2 * workers
+    n_parts = workers if use_pool else 1
+    bounds = np.linspace(0, cfg.trials, n_parts + 1).astype(int)
+    pool = (
+        ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        if use_pool
+        else contextlib.nullcontext()
+    )
+    with pool:
+        run = pool.map if use_pool else map
+        for p_index, p in enumerate(cfg.p_values()):
+            p = float(p)
+            if fixed_inst is not None:
+                inst, mask = fixed_inst, fixed_mask
+            else:
+                try:
+                    pair = build_catalog_pair(
+                        cfg.family, p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven
                     )
-                )
-        else:
-            parts = [_trial_batch(inst, cfg, p, p_index, 0, cfg.trials, mask)]
+                    inst = codec.instantiate(
+                        pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed
+                    )
+                except (ValidityError, codec.ConstructionError):
+                    result.p_values.append(p)
+                    result.bit_rates.append(float("nan"))
+                    result.word_rates.append(float("nan"))
+                    result.unresolved_means.append(float("nan"))
+                    result.outer_rescue_rates.append(float("nan"))
+                    result.trials_run.append(0)
+                    result.skipped.append(True)
+                    continue
+                mask = make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
 
-        word_fails = sum(x[0] for x in parts)
-        rescued = sum(x[1] for x in parts)
-        unresolved = sum(x[2] for x in parts)
-        bit_fails = sum(x[3] for x in parts)
-        info_bits = sum(x[4] for x in parts)
-        result.p_values.append(p)
-        result.bit_rates.append(bit_fails / max(info_bits, 1))
-        result.word_rates.append(word_fails / cfg.trials)
-        result.unresolved_means.append(unresolved / cfg.trials)
-        result.outer_rescue_rates.append(rescued / cfg.trials)
-        result.trials_run.append(cfg.trials)
-        result.skipped.append(False)
+            parts = list(
+                run(
+                    _trial_batch,
+                    [inst] * n_parts,
+                    [cfg] * n_parts,
+                    [p] * n_parts,
+                    [p_index] * n_parts,
+                    bounds[:-1],
+                    bounds[1:],
+                    [mask] * n_parts,
+                )
+            )
+
+            word_fails = sum(x[0] for x in parts)
+            rescued = sum(x[1] for x in parts)
+            unresolved = sum(x[2] for x in parts)
+            bit_fails = sum(x[3] for x in parts)
+            info_bits = sum(x[4] for x in parts)
+            result.p_values.append(p)
+            result.bit_rates.append(bit_fails / max(info_bits, 1))
+            result.word_rates.append(word_fails / cfg.trials)
+            result.unresolved_means.append(unresolved / cfg.trials)
+            result.outer_rescue_rates.append(rescued / cfg.trials)
+            result.trials_run.append(cfg.trials)
+            result.skipped.append(False)
 
     result.wall_time = time.time() - t_start
     return result

@@ -205,17 +205,9 @@ class TestGraphReduction:
             u_vals=cw.u.astype(np.int8), z_vals=-np.ones(5, dtype=np.int8)
         )
         rg = graph_reduce_instance(inst, rcv)
-        assert rg.n_unclosed == 1
-        assert len(rg.grp_syndrome) == 0  # no closed group carries a constraint
-
-    def test_merged_degrees_sum(self):
-        inst = hand_instance(6)
-        cw = encode(inst, np.ones(6, dtype=np.uint8))
-        z_vals = cw.z.astype(np.int8).copy()
-        z_vals[[0, 1, 3]] = -1  # checks 0,1,2 merge; 3,4 merge; 5 alone
-        rcv = ReceivedWord(u_vals=-np.ones(6, dtype=np.int8), z_vals=z_vals)
-        rg = graph_reduce_instance(inst, rcv)
-        assert list(rg.merged_degree_sums) == [3, 2, 1]
+        # the one unclosed group carries no constraint: no syndrome, no incidence
+        assert len(rg.grp_syndrome) == 0
+        assert len(rg.inc_grp) == 0 and len(rg.inc_cls) == 0
 
     def test_offsets_reflect_observed_bits(self):
         inst = hand_instance(4)
@@ -263,6 +255,46 @@ class TestPeeling:
         resolved = peel_decode(rg)
         assert resolved == 0
         assert not rg.known[1:].any()
+
+    def test_class_last_in_two_groups_resolves_once(self):
+        # erasing u_1 alone puts v_1 and v_2 in one class, which is then the
+        # only unknown of checks 1 and 2 in the same round
+        inst = hand_instance(3)
+        cw = encode(inst, np.array([1, 1, 0], dtype=np.uint8))
+        u_vals = cw.u.astype(np.int8).copy()
+        u_vals[1] = -1
+        rcv = ReceivedWord(u_vals=u_vals, z_vals=cw.z.astype(np.int8))
+        rg = graph_reduce_instance(inst, rcv)
+        assert list(rg.inc_grp) == [1, 2] and list(rg.inc_cls) == [1, 1]
+        assert peel_decode(rg) == 1
+        assert rg.known.all()
+        v = rg.vals[rg.cls] ^ rg.off
+        unique, v_ml = ml_reference_decode(inst, rcv)
+        assert unique
+        assert np.array_equal(v, v_ml)
+        assert np.array_equal(v, np.cumsum(cw.u) & 1)
+
+    def test_leftover_incidences_name_unknown_classes(self):
+        # above threshold peeling stalls part way; what it leaves must be the
+        # unknown classes, each group's syndrome the xor of their true values
+        pair = self_matched_ara(0.5, order=128)
+        inst = instantiate(pair, k=512, d_L=24, d_R=24, seed=3)
+        rng = np.random.default_rng(8)
+        cw = encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8))
+        v_true = np.cumsum(cw.u) & 1
+        stalls = 0
+        for _ in range(10):
+            rg = graph_reduce_instance(inst, erase(cw, rng, 0.55))
+            resolved = peel_decode(rg)
+            assert not rg.known[rg.inc_cls].any()
+            x_true = np.zeros(rg.n_classes, dtype=np.uint8)
+            x_true[rg.cls] = v_true ^ rg.off
+            for g in range(len(rg.grp_syndrome)):
+                live = rg.inc_cls[rg.inc_grp == g]
+                assert rg.grp_syndrome[g] == np.bitwise_xor.reduce(x_true[live], initial=0)
+            assert np.array_equal(rg.vals[rg.known], x_true[rg.known])
+            stalls += resolved > 0 and len(rg.inc_grp) > 0
+        assert stalls >= 5
 
 
 class TestOuterDecode:
@@ -317,7 +349,7 @@ class TestDecodeEndToEnd:
         outer_calls = []
 
         def recording_outer(rg, inst):
-            outer_calls.append(int(np.count_nonzero(rg.grp_count == 2)))
+            outer_calls.append(int(np.count_nonzero(np.bincount(rg.inc_grp) == 2)))
             return outer_decode(rg, inst)
 
         monkeypatch.setattr(codec, "outer_decode", recording_outer)
@@ -357,14 +389,18 @@ class TestDecodeEndToEnd:
 
         rg = graph_reduce_instance(inst, rcv)
         peel_decode(rg)
-        unknown = np.flatnonzero(~rg.known)
-        two = np.flatnonzero(rg.grp_count == 2)
-        D = np.zeros((len(two), len(unknown)), dtype=np.uint8)
-        for j, c in enumerate(unknown):
-            groups = rg.class_groups[rg.class_offsets[c] : rg.class_offsets[c + 1]]
-            D[np.searchsorted(two, groups[rg.grp_count[groups] == 2]), j] = 1
-        assert np.all(D.sum(axis=1) == 2)
-        assert gf2_eliminate(D, np.zeros(len(two), dtype=np.uint8))[0] < len(two)
+        unknown = list(np.flatnonzero(~rg.known))
+        rows = []
+        for g in range(len(rg.grp_syndrome)):
+            classes = rg.inc_cls[rg.inc_grp == g]
+            if len(classes) == 2:
+                row = np.zeros(len(unknown), dtype=np.uint8)
+                for c in classes:
+                    row[unknown.index(c)] ^= 1
+                rows.append(row)
+        D = np.array(rows)
+        assert len(rows) > 0 and np.all(D.sum(axis=1) == 2)
+        assert gf2_eliminate(D, np.zeros(len(rows), dtype=np.uint8))[0] < len(rows)
 
         res = decode(inst, rcv)
         unique, v_ml = ml_reference_decode(inst, rcv)

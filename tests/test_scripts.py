@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from aracodes.constructions import CATALOG
+from aracodes.sim import parse_csv
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -41,3 +42,22 @@ def test_threshold_vs_truncation_rows(capsys, monkeypatch):
         assert 0.0 < chopped < 0.5 < filled  # around the design p = 0.5
         assert 0.0 < rate < 0.5  # degree-1 fill trades rate for threshold
     assert float(rows[0][3]) < float(rows[1][3])  # plain chop climbs back with depth
+
+
+def test_waterfall_sweep_writes_four_csvs(tmp_path, monkeypatch, capsys):
+    prefix = tmp_path / "w"
+    monkeypatch.setattr(
+        "sys.argv", ["waterfall_sweep.py", "--trials", "1", "--out-prefix", str(prefix)]
+    )
+    load_script("waterfall_sweep").main()
+    paths = sorted(tmp_path.glob("w_k*.csv"))
+    assert [p.name for p in paths] == [
+        "w_k65536_outer.csv",
+        "w_k65536_raw.csv",
+        "w_k8192_outer.csv",
+        "w_k8192_raw.csv",
+    ]
+    for path in paths:
+        rows = parse_csv(str(path))
+        assert len(rows) == 10
+        assert all(row[5] == 1 for row in rows)
