@@ -270,20 +270,17 @@ def encode(inst: CodeInstance, info: np.ndarray) -> Codeword:
         raise InvalidParameterError(f"expected {expected} info bits, got {len(info)}")
 
     # punctured-bit prefix within each pilot-delimited segment
-    u_work = np.zeros(k, dtype=np.uint8)
-    carry_positions = np.ones(k, dtype=bool)
-    carry_positions[pilots] = False
+    pilot_mask = np.zeros(k, dtype=bool)
+    pilot_mask[pilots] = True
+    carry_positions = ~pilot_mask
     if m:
         carry_positions[k - m :] = False
+    u_work = np.zeros(k, dtype=np.uint8)
     u_work[carry_positions] = info
-    prefix = np.cumsum(u_work, dtype=np.int64) & 1
-    if len(pilots):
-        pil_prefix = prefix[pilots]
-        idx = np.searchsorted(pilots, np.arange(k), side="right") - 1
-        base = np.where(idx >= 0, pil_prefix[np.maximum(idx, 0)], 0)
-        v = (prefix ^ base).astype(np.uint8)
-    else:
-        v = prefix.astype(np.uint8)
+    prefix = np.bitwise_xor.accumulate(u_work)
+    # position j restarts from the prefix at the last pilot at or before it
+    seg_start = np.concatenate([[0], prefix[pilots]]).astype(np.uint8)
+    v = prefix ^ seg_start[np.cumsum(pilot_mask)]
     if m:
         v[k - m :] = (inst.outer_P @ v[: k - m]) & 1
 
@@ -293,8 +290,7 @@ def encode(inst: CodeInstance, info: np.ndarray) -> Codeword:
         if inst.n_checks
         else np.empty(0, np.uint8)
     )
-    z = (np.cumsum(w, dtype=np.int64) & 1).astype(np.uint8)
-    return Codeword(u=u, z=z)
+    return Codeword(u=u, z=np.bitwise_xor.accumulate(w))
 
 
 def check_codeword(inst: CodeInstance, cw: Codeword) -> bool:
@@ -378,7 +374,7 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
     cls = np.cumsum(erased_u, dtype=np.int64)
     n_classes = int(cls[-1]) + 1 if k else 1
     u_masked = np.where(erased_u, 0, u_vals).astype(np.uint8)
-    prefix = (np.cumsum(u_masked, dtype=np.int64) & 1).astype(np.uint8)
+    prefix = np.bitwise_xor.accumulate(u_masked)
     starts = np.flatnonzero(erased_u)
     base = np.zeros(n_classes, dtype=np.uint8)
     if len(starts):
@@ -401,15 +397,22 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
 
     sock_grp = np.repeat(grp_of_check, inst.check_degrees)
     sock_cls = cls[inst.edge_targets]
-    sock_const = off[inst.edge_targets] ^ (vals[sock_cls] & known[sock_cls])
-    flips = np.bincount(sock_grp[sock_const == 1], minlength=n_obs + 1)[:n_obs]
-    grp_syndrome = (zo ^ np.concatenate([[0], zo[:-1]]) ^ (flips & 1)).astype(np.uint8)
+    sock_const = off[inst.edge_targets] ^ vals[sock_cls]  # unknown classes hold 0
+    # a float64 bincount counts the sockets of value 1 per group exactly
+    flips = np.bincount(sock_grp, weights=sock_const, minlength=n_obs + 1)[:n_obs] % 2
+    grp_syndrome = (zo ^ np.concatenate([[0], zo[:-1]]) ^ flips.astype(np.uint8)).astype(np.uint8)
 
-    # unknown-class incidence with mod-2 multiplicity cancellation
+    # unknown-class incidences cancelled mod 2: pack (group, class) into one
+    # key that sorts like the pair, and keep one key of each odd-length run
     live = (sock_grp < n_obs) & ~known[sock_cls]
-    keys = sock_grp[live] * np.int64(n_classes) + sock_cls[live]
-    uniq, counts = np.unique(keys, return_counts=True)
-    odd = uniq[counts % 2 == 1]
+    s = n_classes.bit_length()
+    keys = ((sock_grp << s) | sock_cls)[live]
+    keys.sort()
+    # edge[i]: key i opens a run, or i is one past the end of the keys
+    edge = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    odd = keys[bounds[:-1][np.diff(bounds) & 1 == 1]]
 
     return ResidualGraph(
         n_classes=n_classes,
@@ -418,8 +421,8 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
         known=known,
         vals=vals,
         grp_syndrome=grp_syndrome,
-        inc_grp=odd // n_classes,
-        inc_cls=odd % n_classes,
+        inc_grp=odd >> s,
+        inc_cls=odd & ((1 << s) - 1),
     )
 
 
@@ -433,23 +436,30 @@ def peel_decode(rg: ResidualGraph) -> int:
     Each round resolves every class that is the last unknown of some
     group, folds the resolved values into their groups' syndromes and
     drops their incidences, so afterwards every incidence left names an
-    unknown class.
+    unknown class.  The list stays sorted by group, so an incidence is
+    its group's last exactly when its group differs from both neighbours'.
     """
     known, vals, synd = rg.known, rg.vals, rg.grp_syndrome
     g, c = rg.inc_grp, rg.inc_cls
     n_known = np.count_nonzero(known)
+    # edge[i]: incidence i opens a group, or i is one past the end of the list
+    edge = np.ones(len(g) + 1, dtype=bool)
     # every round but the last resolves a class, which bounds the rounds
     for _ in range(rg.n_classes):
-        last = np.bincount(g)[g] == 1
-        if not last.any():
+        n = len(g)
+        np.not_equal(g[1:], g[:-1], out=edge[1:n])
+        edge[n] = True
+        last = np.flatnonzero(edge[:n] & edge[1 : n + 1])
+        if not len(last):
             break
         resolved = c[last]
         known[resolved] = True
         vals[resolved] = synd[g[last]]
-        done = known[c]
-        ones = g[done][vals[c[done]] == 1]
+        # unknown classes hold 0, so only this round's resolutions fold in
+        ones = g[vals[c] == 1]
         synd ^= (np.bincount(ones, minlength=len(synd)) & 1).astype(np.uint8)
-        g, c = g[~done], c[~done]
+        keep = np.flatnonzero(~known[c])
+        g, c = g[keep], c[keep]
     rg.inc_grp, rg.inc_cls = g, c
     return int(np.count_nonzero(known) - n_known)
 

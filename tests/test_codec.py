@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,14 +31,16 @@ def regular_pair():
     return DegreePair(bit=bit, check=check, family="ARA", p=0.5)
 
 
-def hand_instance(k=3):
-    """Accumulator chain with one degree-1 check per punctured bit."""
+def instance_from_checks(k, checks):
+    """Pilot-free instance whose check i holds the punctured bits checks[i]."""
+    targets = np.array([t for check in checks for t in check], dtype=np.int64)
+    degrees = np.array([len(check) for check in checks], dtype=np.int64)
     return CodeInstance(
         k=k,
-        bit_degrees=np.ones(k, dtype=np.int64),
-        check_degrees=np.ones(k, dtype=np.int64),
-        edge_targets=np.arange(k, dtype=np.int64),
-        check_offsets=np.arange(k + 1, dtype=np.int64),
+        bit_degrees=np.bincount(targets, minlength=k),
+        check_degrees=degrees,
+        edge_targets=targets,
+        check_offsets=np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
         pilot_set=np.empty(0, dtype=np.int64),
         outer_P=np.zeros((0, k), dtype=np.uint8),
         family="ARA",
@@ -46,6 +50,11 @@ def hand_instance(k=3):
     )
 
 
+def hand_instance(k=3):
+    """Accumulator chain with one degree-1 check per punctured bit."""
+    return instance_from_checks(k, [[j] for j in range(k)])
+
+
 def erase(cw: Codeword, rng, p) -> ReceivedWord:
     eu = rng.random(len(cw.u)) < p
     ez = rng.random(len(cw.z)) < p
@@ -53,6 +62,33 @@ def erase(cw: Codeword, rng, p) -> ReceivedWord:
         u_vals=np.where(eu, -1, cw.u).astype(np.int8),
         z_vals=np.where(ez, -1, cw.z).astype(np.int8),
     )
+
+
+def stack_peel(rg):
+    """Resolve degree-1 groups one at a time from a stack; returns resolutions."""
+    members, groups_of = {}, {}
+    for g, c in zip(rg.inc_grp.tolist(), rg.inc_cls.tolist()):
+        members.setdefault(g, []).append(c)
+        groups_of.setdefault(c, []).append(g)
+    degree = {g: len(cs) for g, cs in members.items()}
+    stack = [g for g, d in degree.items() if d == 1]
+    resolved = 0
+    while stack:
+        g = stack.pop()
+        if degree[g] != 1:
+            continue
+        (c,) = [c for c in members[g] if not rg.known[c]]
+        rg.known[c] = True
+        rg.vals[c] = rg.grp_syndrome[g]
+        resolved += 1
+        for h in groups_of[c]:
+            rg.grp_syndrome[h] ^= rg.vals[c]
+            degree[h] -= 1
+            if degree[h] == 1:
+                stack.append(h)
+    live = ~rg.known[rg.inc_cls]
+    rg.inc_grp, rg.inc_cls = rg.inc_grp[live], rg.inc_cls[live]
+    return resolved
 
 
 class TestGF2:
@@ -236,19 +272,7 @@ class TestPeeling:
 
     def test_stopping_set_halts(self):
         # two punctured bits sharing two degree-2 checks: no degree-1 check
-        inst = CodeInstance(
-            k=2,
-            bit_degrees=np.array([2, 2], dtype=np.int64),
-            check_degrees=np.array([2, 2], dtype=np.int64),
-            edge_targets=np.array([0, 1, 0, 1], dtype=np.int64),
-            check_offsets=np.array([0, 2, 4], dtype=np.int64),
-            pilot_set=np.empty(0, dtype=np.int64),
-            outer_P=np.zeros((0, 2), dtype=np.uint8),
-            family="ARA",
-            seed=0,
-            d_L=4,
-            d_R=4,
-        )
+        inst = instance_from_checks(2, [[0, 1], [0, 1]])
         cw = encode(inst, np.array([1, 1], dtype=np.uint8))
         rcv = ReceivedWord(u_vals=-np.ones(2, dtype=np.int8), z_vals=cw.z.astype(np.int8))
         rg = graph_reduce_instance(inst, rcv)
@@ -295,6 +319,85 @@ class TestPeeling:
             assert np.array_equal(rg.vals[rg.known], x_true[rg.known])
             stalls += resolved > 0 and len(rg.inc_grp) > 0
         assert stalls >= 5
+
+
+    @pytest.mark.parametrize(
+        "checks",
+        [[[0]], [[0, 1]], [[0, 1, 2]], [[0, 1, 2, 3]], [[0, 1], [2]], [[0, 1], [2, 3]]],
+    )
+    def test_sockets_of_one_class_cancel_mod_2(self, checks):
+        # erasing u_0 alone puts every punctured bit in class 1, and erasing
+        # all parity bits but the last makes the checks one group, so that
+        # group holds every socket of class 1: one incidence for an odd count
+        k = sum(len(check) for check in checks)
+        inst = instance_from_checks(k, checks)
+        cw = encode(inst, np.array([1, 0, 1, 1][:k], dtype=np.uint8))
+        u_vals = cw.u.astype(np.int8).copy()
+        u_vals[0] = -1
+        z_vals = cw.z.astype(np.int8).copy()
+        z_vals[:-1] = -1
+        rcv = ReceivedWord(u_vals=u_vals, z_vals=z_vals)
+        rg = graph_reduce_instance(inst, rcv)
+        odd = k % 2
+        assert list(rg.inc_grp) == [0] * odd and list(rg.inc_cls) == [1] * odd
+        assert peel_decode(rg) == odd
+        res = decode(inst, rcv)
+        unique, v_ml = ml_reference_decode(inst, rcv)
+        assert res.success == unique == bool(odd)
+        if odd:
+            assert np.array_equal(res.v_vals, v_ml)
+            assert np.array_equal(res.v_vals, np.cumsum(cw.u) & 1)
+
+    def test_every_class_known_leaves_no_keys(self):
+        # with no systematic bit erased every class is known, so no socket
+        # yields an incidence key, whatever parity bits are lost
+        inst = instance_from_checks(3, [[0, 1], [1, 2], [0, 2]])
+        cw = encode(inst, np.array([1, 0, 1], dtype=np.uint8))
+        z_vals = cw.z.astype(np.int8).copy()
+        z_vals[1] = -1
+        rcv = ReceivedWord(u_vals=cw.u.astype(np.int8), z_vals=z_vals)
+        rg = graph_reduce_instance(inst, rcv)
+        assert rg.known.all()
+        assert len(rg.inc_grp) == 0 and len(rg.inc_cls) == 0
+        assert peel_decode(rg) == 0
+        res = decode(inst, rcv)
+        assert res.success
+        assert np.array_equal(res.v_vals, np.cumsum(cw.u) & 1)
+
+    def test_chain_peels_list_empty_before_round_bound(self):
+        # every systematic bit erased; the chain is closed at both ends, so
+        # each round resolves its two outermost classes and the list runs
+        # empty after k / 2 rounds, well within the bound of k + 1
+        k = 6
+        inst = instance_from_checks(k, [[0]] + [[j - 1, j] for j in range(1, k)] + [[k - 1]])
+        cw = encode(inst, np.array([1, 1, 0, 1, 0, 0], dtype=np.uint8))
+        rcv = ReceivedWord(u_vals=-np.ones(k, dtype=np.int8), z_vals=cw.z.astype(np.int8))
+        rg = graph_reduce_instance(inst, rcv)
+        assert len(rg.inc_grp) == 2 * k
+        assert peel_decode(rg) == k
+        assert len(rg.inc_grp) == 0 and len(rg.inc_cls) == 0
+        assert rg.known.all()
+        assert np.array_equal(rg.vals[rg.cls] ^ rg.off, np.cumsum(cw.u) & 1)
+
+    def test_matches_stack_peeler(self):
+        # peel_decode against a plain one-group-at-a-time peeler over the same
+        # reduced incidence list, on decodes that empty the list and on stalled ones
+        pair = self_matched_ara(0.5, order=64)
+        rng = np.random.default_rng(66)
+        outcomes = {"emptied": 0, "stalled": 0}
+        for s in range(300):
+            k = int(rng.integers(48, 97))
+            m = int(rng.integers(4, 9))
+            inst = instantiate(pair, k=k, d_L=12, d_R=12, m_outer=m, seed=1000 + s)
+            cw = encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8))
+            rcv = erase(cw, rng, float(rng.uniform(0.3, 0.6)))
+            rg = graph_reduce_instance(inst, rcv)
+            ref = copy.deepcopy(rg)
+            assert peel_decode(rg) == stack_peel(ref)
+            for field in ("known", "vals", "grp_syndrome", "inc_grp", "inc_cls"):
+                assert np.array_equal(getattr(rg, field), getattr(ref, field)), field
+            outcomes["stalled" if len(rg.inc_grp) else "emptied"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
 
 
 class TestOuterDecode:
