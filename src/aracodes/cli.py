@@ -10,14 +10,16 @@ import numpy as np
 
 from . import nonneg, sim, tilting
 from .constructions import CATALOG, build_catalog_pair
-from .powerseries import InvalidParameterError, ValidityError
+from .powerseries import (
+    DegenerateInputError, InvalidInputError, InvalidParameterError, NumericDomainError, ValidityError,
+)
 from .codec import ConstructionError
 
 
 def _add_pair_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True, choices=sorted(CATALOG))
     sub.add_argument("--p", type=float, required=True, help="design erasure probability")
-    sub.add_argument("--b", default=None, help="series parameter, or 'auto' to solve for it")
+    sub.add_argument("--b", type=_parse_b, default=None, help="series parameter, or 'auto' to solve for it")
     sub.add_argument("--M", type=int, default=512, help="series truncation depth")
     sub.add_argument(
         "--allow-unproven",
@@ -36,7 +38,7 @@ def _build_pair(args):
     return build_catalog_pair(
         args.family,
         args.p,
-        b=_parse_b(args.b),
+        b=args.b,
         order=args.M,
         allow_unproven=getattr(args, "allow_unproven", False),
     )
@@ -49,6 +51,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_de(args) -> int:
+    if args.grid < 1:
+        raise InvalidParameterError("--grid must be at least 1")
     pair = _build_pair(args)
     xs = np.linspace(0.0, 1.0, args.grid + 1)[1:]
     resid = tilting.de_residual(pair, xs)
@@ -75,7 +79,7 @@ def cmd_de(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    print(json.dumps(nonneg.verify_family(args.family, args.p, b=_parse_b(args.b), grid_n=args.grid)))
+    print(json.dumps(nonneg.verify_family(args.family, args.p, b=args.b, grid_n=args.grid)))
     return 0
 
 
@@ -93,7 +97,7 @@ def cmd_simulate(args) -> int:
         m_outer=args.outer_m,
         alpha=args.alpha,
         design_p=args.design_p,
-        b=_parse_b(args.b),
+        b=args.b,
         order=args.M,
         use_outer=not args.no_outer,
         all_zero=args.all_zero,
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
     p_sim.add_argument("--all-zero", action="store_true")
     p_sim.add_argument("--d-l", type=int, default=30)
     p_sim.add_argument("--d-r", type=int, default=30)
-    p_sim.add_argument("--b", default=None)
+    p_sim.add_argument("--b", type=_parse_b, default=None)
     p_sim.add_argument("--M", type=int, default=256)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
@@ -146,7 +150,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameterError, ValidityError, ConstructionError, OSError) as exc:
+    except (InvalidParameterError, InvalidInputError, DegenerateInputError, ValidityError,
+            NumericDomainError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,6 +157,8 @@ def instantiate(
         raise ConstructionError("finite-length realization currently covers ARA graphs only")
     if d_L < 2 or d_R < 2:
         raise InvalidParameterError("d_L and d_R must be at least 2")
+    if k < 1 or not (0 <= m_outer < k):
+        raise InvalidParameterError("need k >= 1 and 0 <= m_outer < k")
     rng = np.random.default_rng(seed)
 
     bit_fracs = pair.bit.node.coeffs.copy()
@@ -177,6 +179,8 @@ def instantiate(
             bit_degrees[t], bit_degrees[f] = bit_degrees[f], bit_degrees[t]
         pilot_mask = bit_degrees > d_L
     pilot_set = np.flatnonzero(pilot_mask)
+    if k - len(pilot_set) - m_outer < 1:
+        raise ConstructionError("pilots and outer parities leave no information bits")
     n_edges = int(bit_degrees.sum())
 
     check_fracs = pair.check.node.coeffs.copy()

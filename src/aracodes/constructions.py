@@ -384,17 +384,24 @@ def matched_cubic_edge_fn(q: float) -> Callable:
     """Pointwise matched image of the tilted degree-3-regular side.
 
     The value y(x) satisfies (1-q) t (1-y)^3 + q (1-y) = t with
-    t = sqrt(1-x); the unique real root is written with hyperbolic
-    functions, which stay stable at both endpoints.  At q = 1 (a bit side
-    left untilted) the cubic degenerates to y = 1 - t.
+    t = sqrt(1-x); the root through y(0) = 0 is written with hyperbolic
+    functions, which stay stable at both endpoints.  Real x in [0, 1]
+    gives the unique real root.  Complex x on the closed unit disc takes
+    principal branches throughout: every intermediate phase stays inside
+    (-3 pi/8, 3 pi/8), so the formula is the analytic continuation from
+    x = 0.  At q = 1 (a bit side left untilted) the cubic degenerates to
+    y = 1 - t.
     """
 
     def f(x):
         scalar = np.ndim(x) == 0
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.sqrt(np.maximum(1.0 - xs, 0.0))
+        xs = np.atleast_1d(np.asarray(x))
+        if np.iscomplexobj(xs):
+            t = np.sqrt(1.0 - xs)
+        else:
+            t = np.sqrt(np.maximum(1.0 - xs.astype(float), 0.0))
         out = np.ones_like(t)
-        mask = t > 0.0
+        mask = t != 0.0
         ts = t[mask]
         if q == 1.0:
             u = ts
@@ -403,7 +410,7 @@ def matched_cubic_edge_fn(q: float) -> Callable:
             arg = np.sqrt(27.0 * (1.0 - q) * ts ** 3 / (4.0 * q ** 3))
             u = 2.0 * np.sqrt(qq / 3.0) * np.sinh(np.arcsinh(arg) / 3.0)
         out[mask] = 1.0 - u
-        return float(out[0]) if scalar else out
+        return out[0].item() if scalar else out
 
     return f
 
@@ -417,24 +424,31 @@ def matched_cubic_edge_series(q: float, order: int) -> PowerSeries:
     return matched_image_series(monomial(3, 3), q, order)
 
 
-def _cubic_integral_fn(q: float) -> Callable:
-    """Closed form of int_0^x of the matched cubic edge function."""
+def _cubic_fns(q: float) -> tuple[Callable, Callable]:
+    """Exact (node, edge) evaluators of the matched cubic read as a side, for
+    real or complex x; the node form is 3/q times the closed-form integral
+    of the edge function y from 0: (x-1) y + q/3 (1-u^3) / (1-(1-q) u^3)
+    with u = 1 - y."""
     edge = matched_cubic_edge_fn(q)
 
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(edge(x), dtype=float)
-        u = 1.0 - y
-        u3 = u ** 3
-        return (x - 1.0) * y + q / 3.0 * (1.0 - u3) / (1.0 - (1.0 - q) * u3)
+    def node(x):
+        x = np.asarray(x)
+        y = np.asarray(edge(x))
+        u3 = (1.0 - y) ** 3
+        return 3.0 / q * ((x - 1.0) * y + q / 3.0 * (1.0 - u3) / (1.0 - (1.0 - q) * u3))
 
-    return F
+    return node, edge
 
 
-def _cubic_fns(q: float) -> tuple[Callable, Callable]:
-    """Exact (node, edge) evaluators of the matched cubic read as a side."""
-    integral = _cubic_integral_fn(q)
-    return (lambda x: 3.0 / q * np.asarray(integral(x), dtype=float)), matched_cubic_edge_fn(q)
+def _bit_regular_check_fns(family: str, p: float) -> tuple[Callable, Callable]:
+    """Exact (node, edge) evaluators of the check side of a bit-regular pair.
+
+    The matched cubic at q (q = p where the family tilts the bit side,
+    1 otherwise), untilted at p where the family tilts the check side.
+    """
+    tilted = TILTED_SIDES[family]
+    fns = _cubic_fns(p if "bit" in tilted else 1.0)
+    return _untilt_fns(*fns, "check", p) if "check" in tilted else fns
 
 
 def bit_regular_check_node_series(p: float, order: int) -> PowerSeries:
@@ -466,14 +480,12 @@ def _bit_regular(family: str, p: float, order: int) -> DegreePair:
             allow_degree_one=True,
             check_normalized=False,
         )
-        check_fns = _untilt_fns(*_cubic_fns(q), "check", p)
     else:
         rho = matched_image_series(cube, q, order)
         _check_coeffs(rho.coeffs, "check edge")
         check = DegreeDistribution.from_edge(
             PowerSeries(np.maximum(rho.coeffs, 0.0)), exact_integral=q / 3.0, allow_degree_one=True
         )
-        check_fns = _cubic_fns(q)
     return DegreePair(
         bit=DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0),
         check=check,
@@ -481,7 +493,7 @@ def _bit_regular(family: str, p: float, order: int) -> DegreePair:
         p=p,
         label="bit-regular-3",
         bit_fns=(lambda x: np.asarray(x, dtype=float) ** 3, lambda x: np.asarray(x, dtype=float) ** 2),
-        check_fns=check_fns,
+        check_fns=_bit_regular_check_fns(family, p),
     )
 
 
@@ -736,6 +748,8 @@ def build_catalog_pair(
 ) -> DegreePair:
     """Build a catalog pair by name; b and allow_unproven reach only the families that take them."""
     entry = catalog_entry(name)
+    if order < 3:
+        raise InvalidParameterError("order must be at least 3: the degree-3 families need x^3")
     options = {}
     if entry.takes_b:
         options["b"] = b

@@ -23,6 +23,7 @@ from .constructions import (
     VERIFY_CUBIC,
     VERIFY_SCALES,
     _alpha,
+    _bit_regular_check_fns,
     bit_regular_check_node_series,
     catalog_entry,
     matched_cubic_edge_series,
@@ -37,7 +38,7 @@ from .powerseries import (
     reciprocal,
     t_operator,
 )
-from .tilting import TILTED_SIDES, untilt, untilt_node
+from .tilting import TILTED_SIDES, untilt_node
 
 #: Closest approach to the z = 1 singularity on the unit circle.
 X_MIN = 1e-6
@@ -47,10 +48,9 @@ X_MIN = 1e-6
 class PolyaCandidate:
     """A function to be tested on the unit circle.
 
-    ``fn`` maps an array of complex points, walked in order from near
-    z = 1, to complex values; evaluators that track an algebraic branch
-    rely on that ordering.  ``head`` holds series coefficients that were
-    subtracted before testing and still need their own sign check.
+    ``fn`` maps an array of complex points to complex values.  ``head``
+    holds series coefficients that were subtracted before testing and
+    still need their own sign check.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -222,44 +222,6 @@ def self_matched_condition(p: float, b: float, family: str) -> bool:
     return all(scales[side] <= C_STAR + 1e-12 for side in sides)
 
 
-def _matched_cubic_circle_fn(q: float) -> Callable:
-    """Complex matched-cubic evaluator with branch continuation.
-
-    Tracks the root of (1-q) t u^3 + q u - t = 0 (t the principal square
-    root of 1 - z) point to point along the path, seeded by u ~ t/q near
-    z = 1; returns 1 - u.
-    """
-
-    def fn(z):
-        z = np.asarray(z, dtype=complex)
-        t = np.sqrt(1.0 - z)
-        out = np.empty_like(z)
-        u_prev: Optional[complex] = None
-        for i, ti in enumerate(t):
-            if abs(ti) < 1e-300:
-                out[i] = 1.0
-                continue
-            u = u_prev if u_prev is not None else ti / q
-            converged = False
-            for _ in range(60):
-                F = (1.0 - q) * ti * u ** 3 + q * u - ti
-                Fp = 3.0 * (1.0 - q) * ti * u ** 2 + q
-                du = F / Fp
-                u -= du
-                if abs(du) <= 1e-15 * (1.0 + abs(u)):
-                    converged = True
-                    break
-            if not converged:
-                roots = np.roots([(1.0 - q) * ti, 0.0, q, -ti])
-                ref = u_prev if u_prev is not None else ti / q
-                u = roots[np.argmin(np.abs(roots - ref))]
-            u_prev = u
-            out[i] = 1.0 - u
-        return out
-
-    return fn
-
-
 def verify_checkreg_nsira(p: float, grid_n: int = 8192) -> ConvexityReport:
     """Circle criterion on the bit side of the check-regular NSIRA family.
 
@@ -269,7 +231,7 @@ def verify_checkreg_nsira(p: float, grid_n: int = 8192) -> ConvexityReport:
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    fn = _matched_cubic_circle_fn(1.0 - p)
+    fn = _bit_regular_check_fns("ALDPC", 1.0 - p)[1]
     return polya_verify(PolyaCandidate(fn=fn, label=f"check-regular NSIRA p={p}"), grid_n)
 
 
@@ -282,16 +244,11 @@ def verify_bitreg_ara(p: float, grid_n: int = 8192) -> ConvexityReport:
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    cubic = _matched_cubic_circle_fn(p)
+    rho = _bit_regular_check_fns("ARA", p)[1]
 
     def fn(z):
-        z = np.asarray(z, dtype=complex)
-        rho_t = cubic(z)
-        u = 1.0 - rho_t
-        u3 = u ** 3
-        Q = 3.0 * (z - 1.0) * rho_t / p + (1.0 - u3) / (1.0 - (1.0 - p) * u3)
         # R'(z) = R'(1) rho(z) with rho the untilted edge function
-        return 3.0 * (1.0 - p) / p * untilt(Q, rho_t, "check", p)[1] / z
+        return 3.0 * (1.0 - p) / p * rho(z) / z
 
     return polya_verify(PolyaCandidate(fn=fn, label=f"bit-regular check side p={p}"), grid_n)
 

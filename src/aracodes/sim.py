@@ -52,6 +52,8 @@ class SimConfig:
             raise InvalidParameterError("trials must be at least 1")
         if not (0.0 < self.p_start < 1.0 and 0.0 < self.p_stop < 1.0):
             raise InvalidParameterError("sweep range must lie in (0, 1)")
+        if self.p_stop < self.p_start:
+            raise InvalidParameterError("p_stop must not lie below p_start")
         if self.p_step <= 0.0:
             raise InvalidParameterError("p_step must be positive")
         if not (0.0 < self.alpha <= 1.0):

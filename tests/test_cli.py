@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from aracodes import cli
 from aracodes.cli import main
-from aracodes.powerseries import DegreePair
+from aracodes.powerseries import DegenerateInputError, DegreePair, InvalidInputError, NumericDomainError
 
 
 def run_cli(capsys, *args):
@@ -30,6 +31,32 @@ class TestConstruct:
         assert code == 2
         assert "error" in err
 
+    def test_unparsable_b_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--family", "self-matched-ara", "--p", "0.5", "--b", "foo"])
+        assert exc.value.code == 2
+        assert "--b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, order",
+        [("bit-regular-ara", "2"), ("self-matched-ara", "0"), ("self-matched-ara", "1")],
+    )
+    def test_order_below_three_exits_2(self, capsys, family, order):
+        code, out, err = run_cli(capsys, "construct", "--family", family, "--p", "0.2", "--M", order)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("error", [InvalidInputError, DegenerateInputError, NumericDomainError])
+    def test_numeric_errors_reported(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "build_catalog_pair", fail)
+        code, _, err = run_cli(capsys, "construct", "--family", "self-matched-ara", "--p", "0.5")
+        assert code == 2
+        assert err == "error: boom\n"
+
 
 class TestDe:
     def test_residual_grid_and_summary(self, capsys):
@@ -46,6 +73,14 @@ class TestDe:
         assert summary["p_star"] > 0.45
         x, r = lines[0].split(",")
         assert float(x) > 0.0
+
+    def test_grid_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "de", "--family", "self-matched-ara", "--p", "0.5", "--M", "64", "--grid", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
 
 
 class TestVerify:
@@ -104,3 +139,23 @@ class TestSimulate:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--k", "64", "--outer-m", "-1", "--design-p", "0.5"],
+            ["--k", "64", "--outer-m", "100"],
+            ["--k", "0", "--trials", "3"],
+            ["--k", "64", "--p-start", "0.5", "--p-stop", "0.4"],
+        ],
+        ids=["negative-outer", "outer-beyond-k", "k-zero", "reversed-range"],
+    )
+    def test_empty_configurations_exit_2(self, capsys, tmp_path, extra):
+        out_path = tmp_path / "empty.csv"
+        args = ["--p-start", "0.3", "--p-stop", "0.4", "--p-step", "0.05", "--trials", "2"]
+        code, _, err = run_cli(
+            capsys, "simulate", "--family", "self-matched-ara", *args, *extra, "--out", str(out_path)
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out_path.exists()

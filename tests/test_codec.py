@@ -22,7 +22,7 @@ from aracodes.codec import (
     peel_decode,
 )
 from aracodes.constructions import self_matched_ara
-from aracodes.powerseries import DegreeDistribution, DegreePair, monomial
+from aracodes.powerseries import DegreeDistribution, DegreePair, InvalidParameterError, monomial
 
 
 def regular_pair():
@@ -176,6 +176,21 @@ class TestInstantiate:
 
         with pytest.raises(ConstructionError):
             instantiate(self_matched_nsira(0.4, order=64), k=64)
+
+    @pytest.mark.parametrize(
+        "k, m_outer", [(0, 0), (-3, 0), (64, -1), (64, 64), (64, 100)]
+    )
+    def test_empty_sizes_rejected(self, k, m_outer):
+        with pytest.raises(InvalidParameterError):
+            instantiate(self_matched_ara(0.5, order=64), k=k, m_outer=m_outer)
+
+    def test_no_information_bits_rejected(self):
+        # every bit of degree 3 exceeds d_L = 2, so every bit becomes a pilot
+        with pytest.raises(ConstructionError, match="no information bits"):
+            instantiate(regular_pair(), k=9, d_L=2, d_R=8, seed=1)
+        # two bits, one pilot, one outer parity
+        with pytest.raises(ConstructionError, match="no information bits"):
+            instantiate(self_matched_ara(0.5, order=64), k=2, d_L=2, d_R=12, m_outer=1, seed=0)
 
 
 class TestEncode:

@@ -269,6 +269,56 @@ class TestRegularFamilies:
         assert fn(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def cubic_by_roots(q, z):
+    """Plain reference for the matched cubic along a path of complex points.
+
+    Per point, the root of (1-q) t u^3 + q u - t (t = sqrt(1-z)) nearest
+    the previous point's root, seeded at t/q; returns 1 - u.
+    """
+    t = np.sqrt(1.0 - z)
+    out = np.empty(len(z), dtype=complex)
+    u = t[0] / q
+    for i, ti in enumerate(t):
+        roots = np.roots([(1.0 - q) * ti, 0.0, q, -ti])
+        u = roots[np.argmin(np.abs(roots - u))]
+        out[i] = 1.0 - u
+    return out
+
+
+ARC = np.exp(1j * np.linspace(1e-6, np.pi, 512))  # the test arc, walked from near z = 1
+
+
+class TestMatchedCubicComplex:
+    @pytest.mark.parametrize("q", [0.01, 0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_matches_root_continuation_on_arc(self, q):
+        got = matched_cubic_edge_fn(q)(ARC)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - cubic_by_roots(q, ARC))) <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95, 1.0])
+    def test_conjugate_symmetry(self, q):
+        fn = matched_cubic_edge_fn(q)
+        assert np.allclose(fn(np.conj(ARC)), np.conj(fn(ARC)), rtol=0.0, atol=1e-15)
+
+    def test_real_points_take_the_real_branch(self):
+        fn = matched_cubic_edge_fn(0.3)
+        xs = np.linspace(0.0, 1.0, 41)
+        assert np.allclose(fn(xs + 0j), fn(xs), rtol=0.0, atol=1e-15)
+        assert isinstance(fn(0.5 + 0j), complex)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [bit_regular_ara(0.2, order=400), bit_regular_ara(0.26, order=400), aldpc_bit_regular(0.3, order=400)],
+        ids=["bit-regular-ara-0.2", "bit-regular-ara-0.26", "aldpc-bit-regular-0.3"],
+    )
+    def test_check_edge_fn_matches_series_inside_disc(self, pair):
+        # the closed-form check evaluator and the pair's own edge series
+        # are independent routes to the same function
+        z = 0.9 * np.exp(1j * np.linspace(0.0, np.pi, 97))
+        want = np.polynomial.polynomial.polyval(z, pair.check.edge.coeffs)
+        assert np.max(np.abs(pair.check_edge_fn()(z) - want)) <= 1e-12
+
+
 class TestSolveCheckFromBit:
     def test_matches_closed_form(self):
         p = 0.2

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from aracodes.constructions import C_STAR, solve_b
+from aracodes.constructions import C_STAR, bit_regular_ara, nsira_check_regular, solve_b
 from aracodes.nonneg import (
     PolyaCandidate,
     alt_fixed_point_fn,
@@ -148,6 +148,19 @@ class TestFamilyVerifiers:
     def test_bitreg_ara_breaks_down(self):
         for grid_n in (GRID, 8192):
             assert verify_bitreg_ara(0.45, grid_n).verdict in ("fail", "inconclusive")
+
+    def test_checkreg_nsira_tests_the_family_bit_side(self):
+        # the verifier reads the construction's own evaluator, at 1 - p
+        p = 0.3
+        fn = nsira_check_regular(p, order=16).bit_edge_fn()
+        assert verify_checkreg_nsira(p, GRID) == polya_verify(PolyaCandidate(fn=fn), GRID)
+
+    def test_bitreg_ara_tests_the_family_check_side(self):
+        # R'(z)/z = R'(1) rho(z)/z with R'(1) = 3(1-p)/p and rho the pair's check edge
+        p = 0.2
+        rho = bit_regular_ara(p, order=16).check_edge_fn()
+        fn = lambda z: 3.0 * (1.0 - p) / p * rho(z) / z
+        assert verify_bitreg_ara(p, GRID) == polya_verify(PolyaCandidate(fn=fn), GRID)
 
     def test_family_report_uses_swapped_p(self):
         # the swap images are certified by the same function at 1 - p

@@ -82,6 +82,18 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             small_config(alpha=1.5)
 
+    def test_reversed_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="p_stop"):
+            small_config(p_start=0.5, p_stop=0.4)
+        assert np.allclose(small_config(p_start=0.4, p_stop=0.4).p_values(), [0.4])
+
+    @pytest.mark.parametrize("design_p", [None, 0.5])
+    @pytest.mark.parametrize("k, m_outer", [(0, 0), (64, -1), (64, 100)])
+    def test_empty_code_fails_loudly(self, design_p, k, m_outer):
+        # with or without a fixed design, no point runs and no NaN row is written
+        with pytest.raises(InvalidParameterError):
+            run_sweep(small_config(k=k, m_outer=m_outer, design_p=design_p, trials=3))
+
     def test_p_values(self):
         cfg = small_config()
         assert np.allclose(cfg.p_values(), [0.30, 0.35, 0.40])
