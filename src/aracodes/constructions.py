@@ -40,7 +40,7 @@ from .powerseries import (
     reciprocal,
     t_operator,
 )
-from .tilting import TILTED_SIDES, symmetry_swap, tilt, untilt, untilt_node
+from .tilting import TILTED_SIDES, _untilt_fns, side_erasures, symmetry_swap, tilt, untilt_node
 
 EULER_GAMMA = 0.57721566490153286061
 #: Critical constant of the head-coefficient sign condition.
@@ -303,18 +303,14 @@ def _ratio_fns(b: float) -> tuple[Callable, Callable]:
     return node, edge
 
 
-def _untilt_fns(node_fn: Callable, edge_fn: Callable, side: str, p: float) -> tuple[Callable, Callable]:
-    """Pointwise untilt of a tilted (node, edge) evaluator pair."""
-    return (
-        lambda x: untilt(node_fn(x), None, side, p)[0],
-        lambda x: untilt(node_fn(x), edge_fn(x), side, p)[1],
-    )
-
-
-def _sm_bit_side(p: float, b: float, order: int) -> DegreeDistribution:
-    coeffs = _sm_node_coeffs(p, b, order)
+def _sm_bit_side(q: float, b: float, order: int) -> DegreeDistribution:
+    """The ratio side untilted on the bit side at q (the check side at 1 - q is
+    the same series); at q = 1, the identity erasure, the ratio side itself."""
+    if q == 1.0:
+        return _ratio_side(b, order)
+    coeffs = _sm_node_coeffs(q, b, order)
     _check_coeffs(coeffs, "bit node")
-    mean = -(b ** 2) * p / ((1.0 - b) * _log_weight(b))
+    mean = -(b ** 2) * q / ((1.0 - b) * _log_weight(b))
     node = PowerSeries(np.maximum(coeffs, 0.0))
     return DegreeDistribution.from_node(node, exact_mean=mean, check_normalized=False)
 
@@ -329,27 +325,21 @@ def _ratio_side(b: float, order: int) -> DegreeDistribution:
 
 
 def _self_matched(family: str, p: float, b: Optional[float], order: int) -> DegreePair:
-    """Self-matched pair of one family: the ratio side, untilted on every
-    side the family's graph reduction tilts and kept as is elsewhere."""
+    """Self-matched pair of one family: the ratio side, untilted on each side
+    at the erasure the family's graph reduction tilts it."""
     b = solve_b(p) if b is None else float(b)
     _require_valid(family, p, b)
+    p_bit, p_check = side_erasures(family, p)
     ratio_fns = _ratio_fns(b)
-    sides = {}
-    for side, q in (("bit", p), ("check", 1.0 - p)):
-        if side in TILTED_SIDES[family]:
-            sides[side] = _sm_bit_side(q, b, order), _untilt_fns(*ratio_fns, side, p)
-        else:
-            sides[side] = _ratio_side(b, order), ratio_fns
-    (bit, bit_fns), (check, check_fns) = sides["bit"], sides["check"]
     return DegreePair(
-        bit=bit,
-        check=check,
+        bit=_sm_bit_side(p_bit, b, order),
+        check=_sm_bit_side(1.0 - p_check, b, order),
         family=family,
         p=p,
         b=b,
         label="self-matched",
-        bit_fns=bit_fns,
-        check_fns=check_fns,
+        bit_fns=_untilt_fns(*ratio_fns, "bit", p_bit),
+        check_fns=_untilt_fns(*ratio_fns, "check", p_check),
     )
 
 
@@ -443,49 +433,28 @@ def _cubic_fns(q: float) -> tuple[Callable, Callable]:
 def _bit_regular_check_fns(family: str, p: float) -> tuple[Callable, Callable]:
     """Exact (node, edge) evaluators of the check side of a bit-regular pair.
 
-    The matched cubic at q (q = p where the family tilts the bit side,
-    1 otherwise), untilted at p where the family tilts the check side.
+    The matched cubic at the family's bit-side erasure, untilted at its
+    check-side erasure.
     """
-    tilted = TILTED_SIDES[family]
-    fns = _cubic_fns(p if "bit" in tilted else 1.0)
-    return _untilt_fns(*fns, "check", p) if "check" in tilted else fns
-
-
-def bit_regular_check_node_series(p: float, order: int) -> PowerSeries:
-    """Ungated check-side node series of the bit-regular ARA pair (any p).
-
-    Negative coefficients appear for p beyond the validity range; the
-    non-negativity verifier probes exactly that regime.
-    """
-    return untilt_node(_image_node_series(monomial(3, 3), p, order), "check", p)
+    p_bit, p_check = side_erasures(family, p)
+    return _untilt_fns(*_cubic_fns(p_bit), "check", p_check)
 
 
 def _bit_regular(family: str, p: float, order: int) -> DegreePair:
     """Pair of one family with all punctured bits of degree 3.
 
-    The check side is the matched image of the bit side after the
-    family's graph reduction (tilted at p, or at 1, which leaves it as
-    is), untilted at p where the family tilts the check side.  Series
+    The check side is :func:`matched_check_node_series` of x^3; series
     come from the generic solver, evaluators from the closed-form cubic.
     """
-    tilted = TILTED_SIDES[family]
-    q = p if "bit" in tilted else 1.0
-    cube = monomial(3, 3)
-    if "check" in tilted:
-        R = untilt_node(_image_node_series(cube, q, order), "check", p)
-        _check_coeffs(R.coeffs, "check node")
-        check = DegreeDistribution.from_node(
-            PowerSeries(np.maximum(R.coeffs, 0.0)),
-            exact_mean=3.0 * (1.0 - p) / q,
-            allow_degree_one=True,
-            check_normalized=False,
-        )
-    else:
-        rho = matched_image_series(cube, q, order)
-        _check_coeffs(rho.coeffs, "check edge")
-        check = DegreeDistribution.from_edge(
-            PowerSeries(np.maximum(rho.coeffs, 0.0)), exact_integral=q / 3.0, allow_degree_one=True
-        )
+    p_bit, p_check = side_erasures(family, p)
+    R = matched_check_node_series(monomial(3, 3), family, p, order)
+    _check_coeffs(R.coeffs, "check node")
+    check = DegreeDistribution.from_node(
+        PowerSeries(np.maximum(R.coeffs, 0.0)),
+        exact_mean=3.0 * (1.0 - p_check) / p_bit,
+        allow_degree_one=True,
+        check_normalized=False,
+    )
     return DegreePair(
         bit=DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0),
         check=check,
@@ -643,6 +612,18 @@ def _image_node_series(L: PowerSeries, p: float, order: int) -> PowerSeries:
     return matched_image_series(L, p, order).antiderivative().truncated(order) * (mean / p)
 
 
+def matched_check_node_series(L: PowerSeries, family: str, p: float, order: int = DEFAULT_ORDER) -> PowerSeries:
+    """Check node series matched to polynomial bit side L by the family's graph reduction at p.
+
+    The matched image of L tilted at the family's bit-side erasure,
+    integrated and untilted at its check-side erasure.  Not gated: negative
+    coefficients appear for p beyond a family's validity range, which is
+    the regime the non-negativity verifier probes.
+    """
+    p_bit, p_check = side_erasures(family, p)
+    return untilt_node(_image_node_series(L, p_bit, order), "check", p_check)
+
+
 def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -> CheckSideSolution:
     """Recover the check side matched to a polynomial bit side at erasure p.
 
@@ -655,7 +636,7 @@ def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
     Lc, mean = _polynomial_bit_side(L)
-    R = untilt_node(_image_node_series(L, p, order), "check", p)
+    R = matched_check_node_series(L, "ARA", p, order)
     rho = edge_from_node(R, exact_mean=(1.0 - p) * mean / p)
 
     # pointwise route: matched image by bisection, quadrature for Q

@@ -24,8 +24,8 @@ from .constructions import (
     VERIFY_SCALES,
     _alpha,
     _bit_regular_check_fns,
-    bit_regular_check_node_series,
     catalog_entry,
+    matched_check_node_series,
     matched_cubic_edge_series,
     solve_b,
 )
@@ -38,7 +38,7 @@ from .powerseries import (
     reciprocal,
     t_operator,
 )
-from .tilting import TILTED_SIDES, untilt_node
+from .tilting import side_erasures, untilt_node
 
 #: Closest approach to the z = 1 singularity on the unit circle.
 X_MIN = 1e-6
@@ -197,29 +197,23 @@ def self_matched_candidate(c: float, strip: int = 6, order: int = 64) -> PolyaCa
     return strip_head(g, strip, head, label=f"log-ratio c={c:.4f}")
 
 
-def self_matched_scales(p: float, b: float) -> tuple[float, float]:
-    """Scale constants (bit side, check side) of the self-matched family.
+def tilted_scale(family: str, p: float, b: float) -> float:
+    """Largest scale constant over the two sides of the self-matched family.
 
-    Each must stay at or below the critical value for the corresponding
-    node distribution to have non-negative coefficients.
+    A side tilted at erasure q (the check side read at 1 - q) has scale
+    -(1-q) / (q (b + ln(1-b))), 0 at the identity erasure; a side's node
+    coefficients need its scale at or below the critical value.
     """
     if not (0.0 < p < 1.0 and 0.0 < b < 1.0):
         raise InvalidParameterError("p and b must lie in (0, 1)")
-    return _alpha(p, b), _alpha(1.0 - p, b)
+    p_bit, p_check = side_erasures(family, p)
+    return max(_alpha(p_bit, b), _alpha(1.0 - p_check, b))
 
 
 def self_matched_condition(p: float, b: float, family: str) -> bool:
-    """Closed-form head condition for the self-matched families.
-
-    Tests the scale constant of every side the family's graph reduction
-    tilts against the critical value: both for the two-accumulator
-    family, only the check side for NSIRA, only the bit side for ALDPC.
-    """
-    sides = TILTED_SIDES.get(family)
-    if not sides:
-        raise InvalidParameterError(f"unknown family {family!r}")
-    scales = dict(zip(("bit", "check"), self_matched_scales(p, b)))
-    return all(scales[side] <= C_STAR + 1e-12 for side in sides)
+    """Closed-form head condition for the self-matched families: the
+    largest scale constant against the critical value."""
+    return bool(tilted_scale(family, p, b) <= C_STAR + 1e-12)
 
 
 def verify_checkreg_nsira(p: float, grid_n: int = 8192) -> ConvexityReport:
@@ -260,7 +254,7 @@ def first_coefficients_min(family: str, p: float, order: int = 200) -> float:
     if entry.verifier == VERIFY_CUBIC:
         return float(matched_cubic_edge_series(q_v, order).coeffs.min())
     if entry.verifier == VERIFY_BITREG:
-        return float(bit_regular_check_node_series(p_v, order).coeffs.min())
+        return float(matched_check_node_series(monomial(3, 3), entry.tag, p_v, order).coeffs.min())
     raise InvalidParameterError(f"no series oracle for family {family!r}")
 
 
@@ -269,7 +263,7 @@ def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int 
 
     Self-matched families get the closed-form scale condition, plus the
     circle criterion and the series oracle on the log-ratio candidate at
-    the largest scale among the sides the family tilts.  The degree-3
+    :func:`tilted_scale`.  The degree-3
     families get the circle criterion on their tested side and the direct
     series oracle.
     """
@@ -277,8 +271,7 @@ def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int 
     doc = {"family": family, "p": p}
     if entry.verifier == VERIFY_SCALES:
         b = solve_b(p) if b is None else b
-        scales = dict(zip(("bit", "check"), self_matched_scales(p, b)))
-        c = max(scales[side] for side in TILTED_SIDES[entry.tag])
+        c = tilted_scale(entry.tag, p, b)
         doc.update(b=b, closed_form_condition=self_matched_condition(p, b, entry.tag), critical_c=C_STAR)
         report = polya_verify(self_matched_candidate(c), grid_n=grid_n)
         series_min = float(log_ratio_series(c, 200).coeffs.min())

@@ -370,7 +370,7 @@ class DegreeDistribution:
         return max(0.0, 1.0 - float(self.edge.coeffs.sum()), 1.0 - float(self.node.coeffs.sum()))
 
 
-FAMILIES = ("ARA", "NSIRA", "ALDPC", "LDPC")
+FAMILIES = ("ARA", "NSIRA", "ALDPC")
 
 
 @dataclass(frozen=True)

@@ -281,24 +281,22 @@ def emit_csv(result: SimResult, path: str) -> None:
 
 
 def parse_csv(path: str) -> list[tuple]:
-    """Read back rows written by :func:`emit_csv` (numeric round trip)."""
+    """Read back rows written by :func:`emit_csv` (numeric round trip).
+
+    Blank lines are skipped; any other row that is not six numbers raises
+    ``ValueError`` naming its line.
+    """
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected header {header!r} in {path!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 6:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
-            rows.append(
-                (
-                    float(parts[0]),
-                    float(parts[1]),
-                    float(parts[2]),
-                    float(parts[3]),
-                    float(parts[4]),
-                    int(parts[5]),
-                )
-            )
+            try:
+                p, bit, word, unresolved, rescued, trials = line.strip().split(",")
+                rows.append((float(p), float(bit), float(word), float(unresolved), float(rescued), int(trials)))
+            except ValueError as exc:
+                raise ValueError(f"malformed row at line {lineno} of {path!r}: {exc}") from None
     return rows

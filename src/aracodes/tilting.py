@@ -51,9 +51,12 @@ def tilt(node, edge, side: str, p: float):
     Node N maps to a N / (1 - w N) and edge e to a^2 e / (1 - w N)^2, with
     (a, w) = (1-p, p) on the check side and (p, 1-p) on the bit side.
     Plain arithmetic, so series, real arrays and complex arrays all work;
-    pass ``edge=None`` when only the node half is wanted.
+    pass ``edge=None`` when only the node half is wanted.  At the identity
+    erasure (w = 0) the inputs come back as they are.
     """
     a, w = _weights(side, p)
+    if w == 0.0:
+        return node, edge
     den = 1.0 - w * node
     return a * node / den, None if edge is None else a ** 2 * edge / (den * den)
 
@@ -61,6 +64,8 @@ def tilt(node, edge, side: str, p: float):
 def untilt(node, edge, side: str, p: float):
     """Inverse of :func:`tilt`: T maps to T / (a + w T), e to e / (a + w T)^2."""
     a, w = _weights(side, p)
+    if w == 0.0:
+        return node, edge
     den = a + w * node
     return node / den, None if edge is None else edge / (den * den)
 
@@ -83,15 +88,42 @@ def untilt_node(tilde: PowerSeries, side: str, p: float) -> PowerSeries:
 
 
 def _tilted_edge_values(node_fn: Callable, edge_fn: Callable, x, side: str, p: float) -> np.ndarray:
-    """Tilted edge function of one side at real arguments x."""
+    """Tilted edge function of one side at real arguments x (the node is not
+    evaluated at the identity erasure)."""
+    w = _weights(side, p)[1]
+    if w == 0.0:
+        return np.asarray(edge_fn(x), dtype=float)
     node = np.asarray(node_fn(x), dtype=float)
-    if np.any(1.0 - _weights(side, p)[1] * node <= 0.0):
+    if np.any(1.0 - w * node <= 0.0):
         raise NumericDomainError("tilt denominator not positive on [0, 1]")
     return tilt(node, np.asarray(edge_fn(x), dtype=float), side, p)[1]
 
 
+def _untilt_fns(node_fn: Callable, edge_fn: Callable, side: str, p: float) -> tuple[Callable, Callable]:
+    """Pointwise untilt of a tilted (node, edge) evaluator pair; the pair
+    itself at the identity erasure."""
+    if _weights(side, p)[1] == 0.0:
+        return node_fn, edge_fn
+    return (
+        lambda x: untilt(node_fn(x), None, side, p)[0],
+        lambda x: untilt(node_fn(x), edge_fn(x), side, p)[1],
+    )
+
+
 #: Sides each family's graph reduction tilts.
-TILTED_SIDES = {"ARA": ("bit", "check"), "NSIRA": ("check",), "ALDPC": ("bit",), "LDPC": ()}
+TILTED_SIDES = {"ARA": ("bit", "check"), "NSIRA": ("check",), "ALDPC": ("bit",)}
+
+
+def side_erasures(family: str, p: float) -> tuple[float, float]:
+    """Erasure probabilities (bit, check) at which the family tilts its sides.
+
+    A side the family's graph reduction leaves as is is tilted at its
+    identity erasure, where (a, w) = (1, 0): p = 1 on the bit side, p = 0
+    on the check side.
+    """
+    if family not in TILTED_SIDES:
+        raise InvalidParameterError(f"unknown family {family!r}")
+    return (p if "bit" in TILTED_SIDES[family] else 1.0, p if "check" in TILTED_SIDES[family] else 0.0)
 
 
 @dataclass(frozen=True)
@@ -109,22 +141,19 @@ def tilt_edge(pair: DegreePair, family: Optional[str] = None, p: Optional[float]
     """Family-specific graph reduction of an edge-perspective pair.
 
     ARA tilts both sides, NSIRA only the check side, ALDPC only the bit
-    side, LDPC neither.
+    side.
     """
     family = family or pair.family
     p = _check_p(pair.p if p is None else p)
     M = max(pair.bit.order, pair.check.order)
-    tilted = TILTED_SIDES[family]
-
-    lam_series, lam_fn = pair.bit.edge.truncated(M), pair.bit_edge_fn()
-    rho_series, rho_fn = pair.check.edge.truncated(M), pair.check_edge_fn()
-    if "bit" in tilted:
-        lam_series = tilt(pair.bit.node, lam_series, "bit", p)[1].truncated(M)
-        lam_fn = partial(_tilted_edge_values, pair.bit_node_fn(), lam_fn, side="bit", p=p)
-    if "check" in tilted:
-        rho_series = tilt(pair.check.node, rho_series, "check", p)[1].truncated(M)
-        rho_fn = partial(_tilted_edge_values, pair.check_node_fn(), rho_fn, side="check", p=p)
-    return TiltedPair(lam_series, rho_series, lam_fn, rho_fn, p)
+    p_bit, p_check = side_erasures(family, p)
+    return TiltedPair(
+        tilt(pair.bit.node, pair.bit.edge.truncated(M), "bit", p_bit)[1].truncated(M),
+        tilt(pair.check.node, pair.check.edge.truncated(M), "check", p_check)[1].truncated(M),
+        partial(_tilted_edge_values, pair.bit_node_fn(), pair.bit_edge_fn(), side="bit", p=p_bit),
+        partial(_tilted_edge_values, pair.check_node_fn(), pair.check_edge_fn(), side="check", p=p_check),
+        p,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +209,9 @@ def de_residual(pair: DegreePair, x, family: Optional[str] = None, p: Optional[f
     family = family or pair.family
     p = _check_p(pair.p if p is None else p)
     x = np.asarray(x, dtype=float)
-
-    tilted = TILTED_SIDES[family]
-
-    def side_values(node_fn, edge_fn, arg, side):
-        if side in tilted:
-            return _tilted_edge_values(node_fn, edge_fn, arg, side, p)
-        return np.asarray(edge_fn(arg), dtype=float)
-
-    inner = side_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check")
-    lhs = side_values(pair.bit_node_fn(), pair.bit_edge_fn(), 1.0 - inner, "bit")
-    if not tilted:  # plain LDPC pair at channel erasure p
-        lhs = p * lhs
+    p_bit, p_check = side_erasures(family, p)
+    inner = _tilted_edge_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check", p_check)
+    lhs = _tilted_edge_values(pair.bit_node_fn(), pair.bit_edge_fn(), 1.0 - inner, "bit", p_bit)
     out = lhs - x
     return float(out) if out.ndim == 0 else out
 
@@ -212,26 +232,22 @@ def stability(pair: DegreePair, p: Optional[float] = None, marginal_tol: float =
     exceeds one, which needs degree-2 check mass.  Exactly matched pairs
     have both derivatives equal to one (the map is the identity), so the
     predicates treat values within ``marginal_tol`` of one as holding.
-    Each slope multiplies one side's edge slope at 0 by the other's at 1,
-    tilted for the sides the family's graph reduction tilts.
+    Each slope multiplies one side's tilted edge slope at 0 by the other's
+    at 1, each side tilted at its erasure from :func:`side_erasures`.
     """
     p = _check_p(pair.p if p is None else p)
-    tilted = TILTED_SIDES[pair.family]
+    p_bit, p_check = side_erasures(pair.family, p)
 
-    def slopes(dist: DegreeDistribution, side: str) -> tuple[float, float]:
-        """Edge-function slopes of one side at 0 and at 1."""
+    def slopes(dist: DegreeDistribution, side: str, q: float) -> tuple[float, float]:
+        """Tilted edge-function slopes of one side at 0 and at 1."""
+        a, w = _weights(side, q)
         e2 = float(dist.edge.coeffs[1]) if dist.edge.order >= 1 else 0.0
-        e1 = dist.edge.deriv_at_one()
-        if side not in tilted:
-            return e2, e1
-        a, w = _weights(side, p)
-        return a * a * e2, e1 + 2.0 * w * dist.mean / a
+        return a * a * e2, dist.edge.deriv_at_one() + 2.0 * w * dist.mean / a
 
-    lam0, lam1 = slopes(pair.bit, "bit")
-    rho0, rho1 = slopes(pair.check, "check")
-    scale = 1.0 if tilted else p  # plain LDPC pair at channel erasure p
-    margin0 = scale * lam0 * rho1
-    margin1 = scale * rho0 * lam1
+    lam0, lam1 = slopes(pair.bit, "bit", p_bit)
+    rho0, rho1 = slopes(pair.check, "check", p_check)
+    margin0 = lam0 * rho1
+    margin1 = rho0 * lam1
     return StabilityReport(
         margin0 < 1.0 + marginal_tol, margin1 > 1.0 - marginal_tol, margin0, margin1
     )
@@ -247,7 +263,7 @@ def design_rate(pair: DegreePair, family: Optional[str] = None) -> float:
         return 1.0 / (1.0 + ratio)
     if family == "NSIRA":
         return 1.0 / ratio
-    # ALDPC and plain LDPC: checks constrain the transmitted bits directly
+    # ALDPC: checks constrain the transmitted bits directly
     return 1.0 - ratio
 
 
@@ -272,12 +288,10 @@ def complexity(pair: DegreePair, family: Optional[str] = None, p: Optional[float
     if family == "NSIRA":
         chi = mean + 2.0 / rate
         return ComplexityReport(chi, chi)
-    if family == "ALDPC":
-        return ComplexityReport(None, (3.0 + mean) / rate)
-    raise InvalidParameterError("no complexity formula for plain LDPC pairs")
+    return ComplexityReport(None, (3.0 + mean) / rate)  # ALDPC
 
 
-_SWAP_FAMILY = {"ARA": "ARA", "NSIRA": "ALDPC", "ALDPC": "NSIRA", "LDPC": "LDPC"}
+_SWAP_FAMILY = {"ARA": "ARA", "NSIRA": "ALDPC", "ALDPC": "NSIRA"}
 
 
 def symmetry_swap(pair: DegreePair) -> DegreePair:

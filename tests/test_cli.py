@@ -4,6 +4,7 @@ import pytest
 
 from aracodes import cli
 from aracodes.cli import main
+from aracodes.constructions import CATALOG, build_catalog_pair
 from aracodes.powerseries import DegenerateInputError, DegreePair, InvalidInputError, NumericDomainError
 
 
@@ -23,6 +24,20 @@ class TestConstruct:
         pair = DegreePair.from_json(out)
         assert pair.family == "ARA"
         assert pair.b == pytest.approx(0.93037, abs=1e-4)
+
+    @pytest.mark.parametrize("M", [3, 64, 512])
+    @pytest.mark.parametrize("family", sorted(CATALOG))
+    def test_depth_is_the_requested_order(self, capsys, family, M):
+        p = CATALOG[family].representative_p
+        code, out, _ = run_cli(capsys, "construct", "--family", family, "--p", str(p), "--M", str(M))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["M"] == M
+        assert len(doc["bit_node"]) == len(doc["check_node"]) == M + 1
+        pair, built = DegreePair.from_json(out), build_catalog_pair(family, p, order=M)
+        assert (pair.family, pair.p, pair.bit.mean, pair.check.mean) == (
+            built.family, built.p, built.bit.mean, built.check.mean
+        )
 
     def test_invalid_parameters_exit_nonzero(self, capsys):
         code, _, err = run_cli(

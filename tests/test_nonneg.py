@@ -115,14 +115,24 @@ class TestSelfMatchedCondition:
         assert self_matched_condition(0.7, 0.9304, "ALDPC")
         assert not self_matched_condition(0.3, 0.9304, "ALDPC")
 
-    def test_matches_region(self):
-        b = solve_b(0.42)
+    @pytest.mark.parametrize(
+        "family, b",
+        [
+            pytest.param(family, b, id=f"{family}-{name}")
+            for family in ("ARA", "NSIRA", "ALDPC")
+            for name, b in (("solve_b(0.42)", solve_b(0.42)), ("0.96", 0.96), ("0.98", 0.98))
+        ],
+    )
+    def test_matches_region(self, family, b):
+        # the region reads TILTED_SIDES, the condition the side erasures
         from aracodes.constructions import validity_region
 
-        region = validity_region("ARA", b)
-        for p in (region.lo + 1e-6, 0.5, region.hi - 1e-6):
-            assert self_matched_condition(p, b, "ARA")
-        assert not self_matched_condition(region.lo - 1e-3, b, "ARA")
+        region = validity_region(family, b)
+        for p in (region.lo + 1e-6, 0.5 * (region.lo + region.hi), region.hi - 1e-6):
+            assert self_matched_condition(p, b, family)
+        for bound, outside in ((region.lo, region.lo - 1e-3), (region.hi, region.hi + 1e-3)):
+            if 0.0 < bound < 1.0:
+                assert not self_matched_condition(outside, b, family)
 
 
 class TestFamilyVerifiers:

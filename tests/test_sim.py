@@ -5,6 +5,7 @@ from aracodes import codec
 from aracodes.constructions import self_matched_ara
 from aracodes.powerseries import InvalidParameterError
 from aracodes.sim import (
+    CSV_HEADER,
     SimConfig,
     SimResult,
     bec_channel,
@@ -191,6 +192,18 @@ class TestCsv:
             assert row[0] == pytest.approx(expect[0])
             assert row[2] == pytest.approx(expect[2])
             assert row[5] == expect[5]
+
+    def test_malformed_row_fails_loudly(self, tmp_path):
+        good = "0.3,0.001,0.01,0.5,0.02,40\n"
+        path = tmp_path / "rows.csv"
+        path.write_text(CSV_HEADER + "\n" + good + "\n" + good)
+        assert len(parse_csv(str(path))) == 2  # blank lines are skipped
+        path.write_text(CSV_HEADER + "\n" + good + "0.35,0.002,0.02\n" + good)
+        with pytest.raises(ValueError, match="line 3"):
+            parse_csv(str(path))
+        path.write_text(CSV_HEADER + "\n" + good + "0.35,x,0.02,0.5,0.02,40\n")
+        with pytest.raises(ValueError, match="line 3"):
+            parse_csv(str(path))
 
     def test_word_rate_interval(self):
         res = run_sweep(small_config(trials=30))

@@ -115,6 +115,48 @@ class TestTiltCore:
             tilt(np.ones(2), np.ones(2), "edge", 0.5)
 
 
+class TestIdentityErasure:
+    """A side a family leaves as is is that side tilted at its identity erasure."""
+
+    IDENTITY = [("bit", 1.0), ("check", 0.0)]
+
+    @pytest.mark.parametrize("side, q", IDENTITY)
+    def test_tilt_and_untilt_return_their_inputs(self, side, q):
+        series = PowerSeries([0.0, 0.0, 0.4, 0.6])
+        real = np.linspace(0.0, 1.0, 5)
+        cplx = np.exp(1j * real)
+        for transform in (tilt, untilt):
+            for value in (series, real, cplx):
+                node, edge = transform(value, value, side, q)
+                assert node is value and edge is value
+            node, edge = transform(series, None, side, q)
+            assert node is series and edge is None
+
+    @pytest.mark.parametrize("side, q", IDENTITY)
+    def test_identity_side_never_evaluates_its_node(self, side, q):
+        def node_fn(x):
+            raise AssertionError("node evaluated at the identity erasure")
+
+        edge_fn = lambda x: np.asarray(x) ** 2
+        xs = np.linspace(0.0, 1.0, 9)
+        assert np.array_equal(tilting._tilted_edge_values(node_fn, edge_fn, xs, side, q), xs ** 2)
+        assert tilting._untilt_fns(node_fn, edge_fn, side, q) == (node_fn, edge_fn)
+
+    def test_side_erasures(self):
+        assert tilting.side_erasures("ARA", 0.3) == (0.3, 0.3)
+        assert tilting.side_erasures("NSIRA", 0.3) == (1.0, 0.3)
+        assert tilting.side_erasures("ALDPC", 0.3) == (0.3, 0.0)
+
+    def test_plain_ldpc_tag_rejected(self):
+        pair = regular_pair()
+        with pytest.raises(InvalidParameterError):
+            tilting.side_erasures("LDPC", 0.3)
+        with pytest.raises(InvalidParameterError):
+            DegreePair(bit=pair.bit, check=pair.check, family="LDPC", p=0.5)
+        with pytest.raises(InvalidParameterError):
+            de_residual(pair, np.linspace(0.1, 0.9, 5), family="LDPC")
+
+
 class TestEdgeTilt:
     def test_bit_regular_closed_form(self):
         p = 0.3
