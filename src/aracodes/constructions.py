@@ -5,18 +5,21 @@ whose design rate equals 1 - p:
 
 * self-matched families built from the rational fixed point
   f(x) = (1-b)x / (1-bx) of the matching transform, with tails decaying
-  like b^k (coefficients by series division; the equivalent
-  composition-count recursion is kept for cross-checking);
+  like b^k (the equivalent composition-count recursion is kept for
+  cross-checking);
 * bit-regular families with degree-3 bits, whose matched side comes from
   an algebraic cubic (series from the generic solver, evaluators in
   closed form), and their check-regular bit/check swap images;
 * a generic numerical solver that recovers the check side from any
   polynomial bit side.
 
-Every pair carries exact closed-form evaluators alongside its truncated
-coefficient arrays, so downstream fixed-point checks are not limited by
-truncation.  :data:`CATALOG` is the one registry of the named families:
-builder, family tag, options, representative p and verification route.
+Every derived side is a reduced ("tilted") node series with its exact
+mean, untilted where the family's graph reduction tilts it, and every
+matched image is evaluated by one by-parts integral.  Each pair carries
+exact closed-form evaluators alongside its truncated coefficient arrays,
+so downstream fixed-point checks are not limited by truncation.
+:data:`CATALOG` is the one registry of the named families: builder,
+family tag, options, representative p and verification route.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .powerseries import (
     DEFAULT_ORDER,
@@ -35,12 +39,11 @@ from .powerseries import (
     PowerSeries,
     ValidityError,
     edge_from_node,
-    log1m_series,
     monomial,
     reciprocal,
     t_operator,
 )
-from .tilting import TILTED_SIDES, _untilt_fns, side_erasures, symmetry_swap, tilt, untilt_node
+from .tilting import TILTED_SIDES, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt_node
 
 EULER_GAMMA = 0.57721566490153286061
 #: Critical constant of the head-coefficient sign condition.
@@ -153,8 +156,8 @@ def self_matched_coeffs_recursion(p: float, b: float, order: int) -> np.ndarray:
 
     Exact in exact arithmetic, but the alternating sum cancels like
     b^(-2k) in floating point, so past k of roughly 150 the values
-    degrade; :func:`_sm_node_coeffs` (series division) is the stable
-    production route and the two are cross-checked in tests.
+    degrade; untilting the ratio side's series (same-scale b^k terms only)
+    is the stable production route and the two are cross-checked in tests.
     """
     table = _cmk_values(max(order, 2))
     a = _alpha(p, b)
@@ -163,20 +166,6 @@ def self_matched_coeffs_recursion(p: float, b: float, order: int) -> np.ndarray:
     sums = signs @ table[1:, : order + 1]
     k = np.arange(order + 1)
     coeffs = a / (1.0 - p) * np.power(b, k) * sums
-    coeffs[:2] = 0.0
-    return coeffs
-
-
-def _sm_node_coeffs(p: float, b: float, order: int) -> np.ndarray:
-    """Node coefficients of the self-matched bit side, by series division.
-
-    Expands N / (p D0 + (1-p) N) with N = bx + ln(1-bx); the reciprocal
-    recursion involves only same-scale b^k terms, so no cancellation.
-    """
-    N = log1m_series(b, order)
-    d0 = _log_weight(b)
-    L = N / ((1.0 - p) * N + p * d0)
-    coeffs = L.coeffs.copy()
     coeffs[:2] = 0.0
     return coeffs
 
@@ -238,9 +227,6 @@ class PInterval:
     def empty(self) -> bool:
         return self.lo > self.hi
 
-    def contains(self, p: float, slack: float = 1e-12) -> bool:
-        return (self.lo - slack) <= p <= (self.hi + slack)
-
 
 def validity_region(family: str, b: float) -> PInterval:
     """Erasure probabilities for which the self-matched family is non-negative.
@@ -282,6 +268,20 @@ def _check_coeffs(coeffs: np.ndarray, what: str) -> None:
         raise ValidityError(f"negative {what} coefficient {coeffs[worst]:.3e} at degree {worst}")
 
 
+def _untilted_side(tilde: PowerSeries, tilde_mean: float, side: str, q: float) -> DegreeDistribution:
+    """A catalog side: reduced node series ``tilde`` with exact mean ``tilde_mean``,
+    untilted at erasure q.  The mean scales by the reduction's a (q on the bit
+    side, 1 - q on the check side); negative dust within tolerance is clipped."""
+    node = untilt_node(tilde, side, q)
+    _check_coeffs(node.coeffs, f"{side} node")
+    return DegreeDistribution.from_node(
+        PowerSeries(np.maximum(node.coeffs, 0.0)),
+        exact_mean=_weights(side, q)[0] * tilde_mean,
+        allow_degree_one=side == "check",
+        check_normalized=False,
+    )
+
+
 # ---------------------------------------------------------------------------
 # self-matched family evaluators
 # ---------------------------------------------------------------------------
@@ -303,25 +303,13 @@ def _ratio_fns(b: float) -> tuple[Callable, Callable]:
     return node, edge
 
 
-def _sm_bit_side(q: float, b: float, order: int) -> DegreeDistribution:
-    """The ratio side untilted on the bit side at q (the check side at 1 - q is
-    the same series); at q = 1, the identity erasure, the ratio side itself."""
-    if q == 1.0:
-        return _ratio_side(b, order)
-    coeffs = _sm_node_coeffs(q, b, order)
-    _check_coeffs(coeffs, "bit node")
-    mean = -(b ** 2) * q / ((1.0 - b) * _log_weight(b))
-    node = PowerSeries(np.maximum(coeffs, 0.0))
-    return DegreeDistribution.from_node(node, exact_mean=mean, check_normalized=False)
-
-
-def _ratio_side(b: float, order: int) -> DegreeDistribution:
+def _ratio_series(b: float, order: int) -> tuple[PowerSeries, float]:
+    """Node series of the ratio side, -b^k / (k (b + ln(1-b))), and its exact mean."""
     k = np.arange(order + 1, dtype=float)
     d0 = _log_weight(b)
     coeffs = np.zeros(order + 1)
     coeffs[2:] = -np.power(b, k[2:]) / (k[2:] * d0)
-    mean = -(b ** 2) / ((1.0 - b) * d0)
-    return DegreeDistribution.from_node(PowerSeries(coeffs), exact_mean=mean, check_normalized=False)
+    return PowerSeries(coeffs), -(b ** 2) / ((1.0 - b) * d0)
 
 
 def _self_matched(family: str, p: float, b: Optional[float], order: int) -> DegreePair:
@@ -330,10 +318,11 @@ def _self_matched(family: str, p: float, b: Optional[float], order: int) -> Degr
     b = solve_b(p) if b is None else float(b)
     _require_valid(family, p, b)
     p_bit, p_check = side_erasures(family, p)
+    ratio = _ratio_series(b, order)
     ratio_fns = _ratio_fns(b)
     return DegreePair(
-        bit=_sm_bit_side(p_bit, b, order),
-        check=_sm_bit_side(1.0 - p_check, b, order),
+        bit=_untilted_side(*ratio, "bit", p_bit),
+        check=_untilted_side(*ratio, "check", p_check),
         family=family,
         p=p,
         b=b,
@@ -414,22 +403,6 @@ def matched_cubic_edge_series(q: float, order: int) -> PowerSeries:
     return matched_image_series(monomial(3, 3), q, order)
 
 
-def _cubic_fns(q: float) -> tuple[Callable, Callable]:
-    """Exact (node, edge) evaluators of the matched cubic read as a side, for
-    real or complex x; the node form is 3/q times the closed-form integral
-    of the edge function y from 0: (x-1) y + q/3 (1-u^3) / (1-(1-q) u^3)
-    with u = 1 - y."""
-    edge = matched_cubic_edge_fn(q)
-
-    def node(x):
-        x = np.asarray(x)
-        y = np.asarray(edge(x))
-        u3 = (1.0 - y) ** 3
-        return 3.0 / q * ((x - 1.0) * y + q / 3.0 * (1.0 - u3) / (1.0 - (1.0 - q) * u3))
-
-    return node, edge
-
-
 def _bit_regular_check_fns(family: str, p: float) -> tuple[Callable, Callable]:
     """Exact (node, edge) evaluators of the check side of a bit-regular pair.
 
@@ -437,27 +410,19 @@ def _bit_regular_check_fns(family: str, p: float) -> tuple[Callable, Callable]:
     check-side erasure.
     """
     p_bit, p_check = side_erasures(family, p)
-    return _untilt_fns(*_cubic_fns(p_bit), "check", p_check)
+    return _untilt_fns(*_image_fns(monomial(3, 3), p_bit, matched_cubic_edge_fn(p_bit)), "check", p_check)
 
 
 def _bit_regular(family: str, p: float, order: int) -> DegreePair:
     """Pair of one family with all punctured bits of degree 3.
 
-    The check side is :func:`matched_check_node_series` of x^3; series
-    come from the generic solver, evaluators from the closed-form cubic.
+    The check side is the untilted matched image of x^3; series come from
+    the generic solver, evaluators from the closed-form cubic.
     """
     p_bit, p_check = side_erasures(family, p)
-    R = matched_check_node_series(monomial(3, 3), family, p, order)
-    _check_coeffs(R.coeffs, "check node")
-    check = DegreeDistribution.from_node(
-        PowerSeries(np.maximum(R.coeffs, 0.0)),
-        exact_mean=3.0 * (1.0 - p_check) / p_bit,
-        allow_degree_one=True,
-        check_normalized=False,
-    )
     return DegreePair(
-        bit=DegreeDistribution.from_node(monomial(3, order), exact_mean=3.0),
-        check=check,
+        bit=DegreeDistribution.from_node(monomial(3, order)),
+        check=_untilted_side(*_image_node_series(monomial(3, 3), p_bit, order), "check", p_check),
         family=family,
         p=p,
         label="bit-regular-3",
@@ -602,14 +567,34 @@ def matched_image_series(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -
     return PowerSeries(rho_tilde)
 
 
-def _image_node_series(L: PowerSeries, p: float, order: int) -> PowerSeries:
-    """Node form of the matched image of bit side L tilted at p: its integral, normalized.
+def _image_node_series(L: PowerSeries, p: float, order: int) -> tuple[PowerSeries, float]:
+    """Node form of the matched image of bit side L tilted at p, and its exact mean.
 
     The tilted bit side integrates to p / mean on [0, 1], and so does its
-    matched image.
+    matched image: the normalized integral has mean mean / p.
     """
     mean = _polynomial_bit_side(L)[1]
-    return matched_image_series(L, p, order).antiderivative().truncated(order) * (mean / p)
+    return matched_image_series(L, p, order).antiderivative().truncated(order) * (mean / p), mean / p
+
+
+def _image_fns(L: PowerSeries, p: float, edge: Optional[Callable] = None) -> tuple[Callable, Callable]:
+    """Exact (node, edge) evaluators of the matched image of bit side L tilted at p.
+
+    ``edge`` evaluates the image y (default: bisection on the tilted bit edge,
+    real x only).  Integrating y from 0 by parts gives the node in closed form,
+    mean/p (x-1) y + 1 - L~(1-y) with L~ the tilted bit node; it takes complex
+    x whenever ``edge`` does.
+    """
+    Lc, mean = _polynomial_bit_side(L)
+    if edge is None:
+        lam = np.arange(1, len(Lc)) * Lc[1:] / mean
+        edge = t_operator(lambda u: float(tilt(polyval(u, Lc), polyval(u, lam), "bit", p)[1]))
+
+    def node(x):
+        y = edge(x)
+        return mean / p * (np.asarray(x) - 1.0) * y + 1.0 - tilt(polyval(1.0 - y, Lc), None, "bit", p)[0]
+
+    return node, edge
 
 
 def matched_check_node_series(L: PowerSeries, family: str, p: float, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -621,52 +606,23 @@ def matched_check_node_series(L: PowerSeries, family: str, p: float, order: int 
     the regime the non-negativity verifier probes.
     """
     p_bit, p_check = side_erasures(family, p)
-    return untilt_node(_image_node_series(L, p_bit, order), "check", p_check)
+    return untilt_node(_image_node_series(L, p_bit, order)[0], "check", p_check)
 
 
 def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -> CheckSideSolution:
     """Recover the check side matched to a polynomial bit side at erasure p.
 
     Pipeline: tilt the bit side, take the matched image of the tilted
-    edge function (:func:`matched_image_series` for the series, numerical
-    inversion for the evaluator), integrate it (term by term, or by
-    quadrature), and untilt back to the check node distribution.  The
-    same routine run at 1 - p solves the bit side from a check side.
+    edge function (:func:`matched_image_series` for the series, bisection
+    for the evaluator), integrate it (term by term, or by parts in closed
+    form), and untilt back to the check node distribution.  The same
+    routine run at 1 - p solves the bit side from a check side.
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    Lc, mean = _polynomial_bit_side(L)
     R = matched_check_node_series(L, "ARA", p, order)
-    rho = edge_from_node(R, exact_mean=(1.0 - p) * mean / p)
-
-    # pointwise route: matched image by bisection, quadrature for Q
-    L_fn = PowerSeries(Lc)
-    lam_fn = PowerSeries(np.arange(1, len(Lc)) * Lc[1:] / mean)
-
-    def lam_tilde(x):
-        x = np.asarray(x, dtype=float)
-        return tilt(L_fn(x), lam_fn(x), "bit", p)[1]
-
-    rho_tilde_fn = t_operator(lambda x: float(lam_tilde(x)))
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-
-    def integral_to(x: float) -> float:
-        # integrate by parts so the quadrature only ever sees the smooth
-        # tilted bit side: int_0^x of the matched image equals
-        # (x-1) y + int_{1-y}^1 lam_tilde with y the matched image at x
-        y = float(rho_tilde_fn(x))
-        lo = 1.0 - y
-        mid = 0.5 * (lo + 1.0)
-        half = 0.5 * (1.0 - lo)
-        tail = half * float(np.sum(weights * lam_tilde(mid + half * nodes)))
-        return (x - 1.0) * y + tail
-
-    def Q_fn(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([integral_to(float(xi)) * mean / p for xi in xs])
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    R_fn, rho_fn = _untilt_fns(Q_fn, rho_tilde_fn, "check", p)
+    rho = edge_from_node(R, exact_mean=(1.0 - p) * _polynomial_bit_side(L)[1] / p)
+    R_fn, rho_fn = _untilt_fns(*_image_fns(L, p), "check", p)
     return CheckSideSolution(R=R, rho=rho, R_fn=R_fn, rho_fn=rho_fn)
 
 

@@ -170,35 +170,12 @@ def reciprocal(f: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-def sqrt_series(f: PowerSeries) -> PowerSeries:
-    """Square root of a series with positive constant term (Newton iteration)."""
-    if f.coeffs[0] <= 0.0:
-        raise DegenerateInputError("series square root needs a positive constant term")
-    M = f.order
-    s = PowerSeries([np.sqrt(f.coeffs[0])])
-    n = 1
-    while n <= M:
-        n = min(2 * n, M + 1)
-        fn = f.truncated(n - 1)
-        sn = s.truncated(n - 1)
-        s = 0.5 * (sn + fn * reciprocal(sn))
-    return s.truncated(M)
-
-
 def binomial_series(alpha: float, order: int) -> PowerSeries:
     """Series of (1 - x)^alpha."""
     c = np.zeros(order + 1)
     c[0] = 1.0
     for k in range(1, order + 1):
         c[k] = -c[k - 1] * (alpha - k + 1) / k
-    return PowerSeries(c)
-
-
-def log1m_series(b: float, order: int) -> PowerSeries:
-    """Series of b*x + ln(1 - b*x), which starts at x^2."""
-    c = np.zeros(order + 1)
-    for j in range(2, order + 1):
-        c[j] = -(b ** j) / j
     return PowerSeries(c)
 
 

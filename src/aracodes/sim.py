@@ -58,6 +58,8 @@ class SimConfig:
             raise InvalidParameterError("p_step must be positive")
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidParameterError("alpha must lie in (0, 1]")
+        if self.workers < 0:
+            raise InvalidParameterError("workers must not be negative")
 
     def p_values(self) -> np.ndarray:
         n = int(np.floor((self.p_stop - self.p_start) / self.p_step + 1e-9)) + 1
@@ -170,7 +172,19 @@ def _worker_count(cfg: SimConfig) -> int:
     if cfg.workers > 0:
         return cfg.workers
     env = os.environ.get(WORKER_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise InvalidParameterError(f"{WORKER_ENV} must be an integer, not {env!r}") from None
+
+
+def _realize(cfg: SimConfig, p: float) -> tuple[codec.CodeInstance, Optional[np.ndarray]]:
+    """The code instance designed at p and its puncture mask (None without puncturing)."""
+    pair = build_catalog_pair(cfg.family, p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven)
+    inst = codec.instantiate(pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed)
+    return inst, make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
 
 
 def run_sweep(cfg: SimConfig) -> SimResult:
@@ -187,18 +201,11 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     t_start = time.time()
     result = SimResult(config=cfg)
     workers = _worker_count(cfg)
-
-    fixed_inst = None
-    fixed_mask = None
-    if cfg.design_p is not None:
-        pair = build_catalog_pair(
-            cfg.family, cfg.design_p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven
-        )
-        fixed_inst = codec.instantiate(
-            pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed
-        )
-        if cfg.alpha < 1.0:
-            fixed_mask = make_puncture_mask(fixed_inst.n, cfg.alpha, cfg.seed)
+    fixed = _realize(cfg, cfg.design_p) if cfg.design_p is not None else None
+    columns = (
+        result.p_values, result.bit_rates, result.word_rates,
+        result.unresolved_means, result.outer_rescue_rates, result.trials_run,
+    )
 
     # one pool serves every point; without one the trials run in-process
     use_pool = workers > 1 and cfg.trials >= 2 * workers
@@ -213,29 +220,12 @@ def run_sweep(cfg: SimConfig) -> SimResult:
         run = pool.map if use_pool else map
         for p_index, p in enumerate(cfg.p_values()):
             p = float(p)
-            if fixed_inst is not None:
-                inst, mask = fixed_inst, fixed_mask
+            try:
+                inst, mask = fixed or _realize(cfg, p)
+            except (ValidityError, codec.ConstructionError):
+                row = (p, float("nan"), float("nan"), float("nan"), float("nan"), 0)
             else:
-                try:
-                    pair = build_catalog_pair(
-                        cfg.family, p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven
-                    )
-                    inst = codec.instantiate(
-                        pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed
-                    )
-                except (ValidityError, codec.ConstructionError):
-                    result.p_values.append(p)
-                    result.bit_rates.append(float("nan"))
-                    result.word_rates.append(float("nan"))
-                    result.unresolved_means.append(float("nan"))
-                    result.outer_rescue_rates.append(float("nan"))
-                    result.trials_run.append(0)
-                    result.skipped.append(True)
-                    continue
-                mask = make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
-
-            parts = list(
-                run(
+                parts = run(
                     _trial_batch,
                     [inst] * n_parts,
                     [cfg] * n_parts,
@@ -245,20 +235,12 @@ def run_sweep(cfg: SimConfig) -> SimResult:
                     bounds[1:],
                     [mask] * n_parts,
                 )
-            )
-
-            word_fails = sum(x[0] for x in parts)
-            rescued = sum(x[1] for x in parts)
-            unresolved = sum(x[2] for x in parts)
-            bit_fails = sum(x[3] for x in parts)
-            info_bits = sum(x[4] for x in parts)
-            result.p_values.append(p)
-            result.bit_rates.append(bit_fails / max(info_bits, 1))
-            result.word_rates.append(word_fails / cfg.trials)
-            result.unresolved_means.append(unresolved / cfg.trials)
-            result.outer_rescue_rates.append(rescued / cfg.trials)
-            result.trials_run.append(cfg.trials)
-            result.skipped.append(False)
+                word_fails, rescued, unresolved, bit_fails, info_bits = map(sum, zip(*parts))
+                n = cfg.trials
+                row = (p, bit_fails / max(info_bits, 1), word_fails / n, unresolved / n, rescued / n, n)
+            for column, value in zip(columns, row):
+                column.append(value)
+            result.skipped.append(row[-1] == 0)
 
     result.wall_time = time.time() - t_start
     return result

@@ -155,6 +155,18 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
+    def test_malformed_worker_env_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("ARACODES_WORKERS", "abc")
+        out_path = tmp_path / "workers.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--family", "self-matched-ara",
+            "--p-start", "0.35", "--p-stop", "0.4", "--p-step", "0.05",
+            "--k", "256", "--trials", "2", "--design-p", "0.5", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "ARACODES_WORKERS" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [

@@ -308,15 +308,21 @@ class TestMatchedCubicComplex:
 
     @pytest.mark.parametrize(
         "pair",
-        [bit_regular_ara(0.2, order=400), bit_regular_ara(0.26, order=400), aldpc_bit_regular(0.3, order=400)],
-        ids=["bit-regular-ara-0.2", "bit-regular-ara-0.26", "aldpc-bit-regular-0.3"],
+        [
+            bit_regular_ara(0.2, order=400),
+            bit_regular_ara(0.26, order=400),
+            aldpc_bit_regular(0.3, order=400),
+            nsira_bit_regular(0.07, order=400),  # the cubic at q = 1
+        ],
+        ids=["bit-regular-ara-0.2", "bit-regular-ara-0.26", "aldpc-bit-regular-0.3", "nsira-bit-regular-0.07"],
     )
     def test_check_edge_fn_matches_series_inside_disc(self, pair):
-        # the closed-form check evaluator and the pair's own edge series
-        # are independent routes to the same function
+        # the closed-form check evaluators and the pair's own series are
+        # independent routes to the same functions
         z = 0.9 * np.exp(1j * np.linspace(0.0, np.pi, 97))
-        want = np.polynomial.polynomial.polyval(z, pair.check.edge.coeffs)
-        assert np.max(np.abs(pair.check_edge_fn()(z) - want)) <= 1e-12
+        for fn, series in ((pair.check_edge_fn(), pair.check.edge), (pair.check_node_fn(), pair.check.node)):
+            want = np.polynomial.polynomial.polyval(z, series.coeffs)
+            assert np.max(np.abs(fn(z) - want)) <= 1e-12
 
 
 class TestSolveCheckFromBit:
@@ -328,17 +334,17 @@ class TestSolveCheckFromBit:
         xs = np.linspace(0.0, 0.95, 24)
         want = ref.check_node_fn()(xs)
         got = np.array([float(sol.R_fn(float(x))) for x in xs])
-        assert np.max(np.abs(got - want)) < 1e-8
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_irregular_bit_side(self):
         # the series route (Newton) and the pointwise route (bisection and
-        # quadrature) are independent; they must agree inside the disc
+        # the by-parts integral) are independent; they must agree inside the disc
         p = 0.3
         L = PowerSeries([0.0, 0.0, 0.3, 0.5, 0.0, 0.2])
         sol = solve_check_from_bit(L, p, order=400)
         xs = np.linspace(0.0, 0.8, 9)
         got = np.array([float(sol.R_fn(float(x))) for x in xs])
-        assert np.max(np.abs(sol.R(xs) - got)) < 1e-8
+        assert np.max(np.abs(sol.R(xs) - got)) < 1e-12
         # the matched image v = 1 - rho~ solves lam~(v) = 1 - x
         v = 1.0 - matched_image_series(L, p, order=400)(xs)
         lam = L.derivative() * (1.0 / L.deriv_at_one())

@@ -6,6 +6,7 @@ from aracodes.constructions import self_matched_ara
 from aracodes.powerseries import InvalidParameterError
 from aracodes.sim import (
     CSV_HEADER,
+    WORKER_ENV,
     SimConfig,
     SimResult,
     bec_channel,
@@ -98,6 +99,16 @@ class TestConfig:
     def test_p_values(self):
         cfg = small_config()
         assert np.allclose(cfg.p_values(), [0.30, 0.35, 0.40])
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            small_config(workers=-1)
+
+    def test_malformed_worker_env_fails_loudly(self, monkeypatch):
+        # rejected before any point is built or any process is started
+        monkeypatch.setenv(WORKER_ENV, "abc")
+        with pytest.raises(InvalidParameterError, match=WORKER_ENV):
+            run_sweep(small_config(trials=3))
 
 
 class TestSweep:

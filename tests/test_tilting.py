@@ -58,8 +58,13 @@ class TestNodeTilt:
         ratio[2:] = -np.power(b, k[2:]) / (k[2:] * d0)
         tilde = PowerSeries(ratio)
         L = untilt_node(tilde, "bit", p)
-        expected = cons._sm_node_coeffs(p, b, order)
-        assert np.allclose(L.coeffs, expected, atol=1e-12)
+        # the self-matched bit side by series division: N / ((1-p) N + p d0)
+        # with N = bx + ln(1-bx)
+        N = np.zeros(order + 1)
+        N[2:] = -np.power(b, k[2:]) / k[2:]
+        N = PowerSeries(N)
+        expected = N / ((1.0 - p) * N + p * d0)
+        assert np.allclose(L.coeffs, expected.coeffs, atol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
