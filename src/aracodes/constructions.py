@@ -43,7 +43,7 @@ from .powerseries import (
     reciprocal,
     t_operator,
 )
-from .tilting import TILTED_SIDES, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt_node
+from .tilting import TILTED_SIDES, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node
 
 EULER_GAMMA = 0.57721566490153286061
 #: Critical constant of the head-coefficient sign condition.
@@ -410,7 +410,7 @@ def _bit_regular_check_fns(family: str, p: float) -> tuple[Callable, Callable]:
     check-side erasure.
     """
     p_bit, p_check = side_erasures(family, p)
-    return _untilt_fns(*_image_fns(monomial(3, 3), p_bit, matched_cubic_edge_fn(p_bit)), "check", p_check)
+    return _image_fns(monomial(3, 3), p_bit, p_check, matched_cubic_edge_fn(p_bit))
 
 
 def _bit_regular(family: str, p: float, order: int) -> DegreePair:
@@ -577,24 +577,28 @@ def _image_node_series(L: PowerSeries, p: float, order: int) -> tuple[PowerSerie
     return matched_image_series(L, p, order).antiderivative().truncated(order) * (mean / p), mean / p
 
 
-def _image_fns(L: PowerSeries, p: float, edge: Optional[Callable] = None) -> tuple[Callable, Callable]:
-    """Exact (node, edge) evaluators of the matched image of bit side L tilted at p.
+def _image_fns(L: PowerSeries, p: float, q: float, edge: Optional[Callable] = None) -> tuple[Callable, Callable]:
+    """Exact (node, edge) evaluators of the matched image of bit side L tilted
+    at p, untilted on the check side at q.
 
     ``edge`` evaluates the image y (default: bisection on the tilted bit edge,
-    real x only).  Integrating y from 0 by parts gives the node in closed form,
-    mean/p (x-1) y + 1 - L~(1-y) with L~ the tilted bit node; it takes complex
-    x whenever ``edge`` does.
+    real x only).  Integrating y from 0 by parts gives the image node in
+    closed form, mean/p (x-1) y + 1 - L~(1-y) with L~ the tilted bit node, so
+    one evaluation of y serves both the node and the untilted edge.  Takes
+    complex x whenever ``edge`` does.
     """
     Lc, mean = _polynomial_bit_side(L)
     if edge is None:
         lam = np.arange(1, len(Lc)) * Lc[1:] / mean
         edge = t_operator(lambda u: float(tilt(polyval(u, Lc), polyval(u, lam), "bit", p)[1]))
 
-    def node(x):
+    def image(x):
         y = edge(x)
-        return mean / p * (np.asarray(x) - 1.0) * y + 1.0 - tilt(polyval(1.0 - y, Lc), None, "bit", p)[0]
+        return mean / p * (np.asarray(x) - 1.0) * y + 1.0 - tilt(polyval(1.0 - y, Lc), None, "bit", p)[0], y
 
-    return node, edge
+    if _weights("check", q)[1] == 0.0:
+        return lambda x: image(x)[0], edge
+    return lambda x: untilt(image(x)[0], None, "check", q)[0], lambda x: untilt(*image(x), "check", q)[1]
 
 
 def matched_check_node_series(L: PowerSeries, family: str, p: float, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -622,7 +626,7 @@ def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -
         raise InvalidParameterError("p must lie in (0, 1)")
     R = matched_check_node_series(L, "ARA", p, order)
     rho = edge_from_node(R, exact_mean=(1.0 - p) * _polynomial_bit_side(L)[1] / p)
-    R_fn, rho_fn = _untilt_fns(*_image_fns(L, p), "check", p)
+    R_fn, rho_fn = _image_fns(L, p, p)
     return CheckSideSolution(R=R, rho=rho, R_fn=R_fn, rho_fn=rho_fn)
 
 

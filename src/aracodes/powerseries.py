@@ -70,12 +70,21 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """Horner evaluation; accepts scalars or arrays in [0, 1]."""
+        """Horner evaluation; accepts scalars or arrays in [0, 1].
+
+        An array result is updated in place and a scalar one runs on Python
+        floats: the same operations in the same order as
+        ``result = result * x + c``, without a temporary array per step.
+        """
         x = np.asarray(x, dtype=float)
-        result = np.zeros_like(x)
-        for c in self.coeffs[::-1]:
-            result = result * x + c
-        return float(result) if result.ndim == 0 else result
+        if x.ndim == 0:
+            x, result = float(x), 0.0
+        else:
+            result = np.zeros_like(x)
+        for c in self.coeffs[::-1].tolist():
+            result *= x
+            result += c
+        return result
 
     def truncated(self, order: int) -> "PowerSeries":
         out = np.zeros(order + 1)

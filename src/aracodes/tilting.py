@@ -87,16 +87,28 @@ def untilt_node(tilde: PowerSeries, side: str, p: float) -> PowerSeries:
     return untilt(tilde, None, side, p)[0]
 
 
-def _tilted_edge_values(node_fn: Callable, edge_fn: Callable, x, side: str, p: float) -> np.ndarray:
-    """Tilted edge function of one side at real arguments x (the node is not
-    evaluated at the identity erasure)."""
+def _raw_values(node_fn: Callable, edge_fn: Callable, x, side: str, p: float) -> tuple:
+    """One side's (node, edge) values at real arguments x, before the tilt.
+
+    The node is None at the identity erasure, where the tilt does not read it.
+    """
+    node = None if _weights(side, p)[1] == 0.0 else np.asarray(node_fn(x), dtype=float)
+    return node, np.asarray(edge_fn(x), dtype=float)
+
+
+def _tilt_values(node: Optional[np.ndarray], edge: np.ndarray, side: str, p: float) -> np.ndarray:
+    """Tilted edge values at p from one side's raw (node, edge) values."""
     w = _weights(side, p)[1]
     if w == 0.0:
-        return np.asarray(edge_fn(x), dtype=float)
-    node = np.asarray(node_fn(x), dtype=float)
+        return edge
     if np.any(1.0 - w * node <= 0.0):
         raise NumericDomainError("tilt denominator not positive on [0, 1]")
-    return tilt(node, np.asarray(edge_fn(x), dtype=float), side, p)[1]
+    return tilt(node, edge, side, p)[1]
+
+
+def _tilted_edge_values(node_fn: Callable, edge_fn: Callable, x, side: str, p: float) -> np.ndarray:
+    """Tilted edge function of one side at real arguments x."""
+    return _tilt_values(*_raw_values(node_fn, edge_fn, x, side, p), side, p)
 
 
 def _untilt_fns(node_fn: Callable, edge_fn: Callable, side: str, p: float) -> tuple[Callable, Callable]:
@@ -208,12 +220,36 @@ def de_residual(pair: DegreePair, x, family: Optional[str] = None, p: Optional[f
     """
     family = family or pair.family
     p = _check_p(pair.p if p is None else p)
-    x = np.asarray(x, dtype=float)
-    p_bit, p_check = side_erasures(family, p)
-    inner = _tilted_edge_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check", p_check)
-    lhs = _tilted_edge_values(pair.bit_node_fn(), pair.bit_edge_fn(), 1.0 - inner, "bit", p_bit)
-    out = lhs - x
+    out = _residual_fn(pair, np.asarray(x, dtype=float), family, p)(p)
     return float(out) if out.ndim == 0 else out
+
+
+def _residual_fn(pair: DegreePair, x: np.ndarray, family: str, p: float) -> Callable[[float], np.ndarray]:
+    """The family's DE residual at fixed x, as a function of the erasure.
+
+    A side's raw values are evaluated only where their argument moves with
+    the erasure.  The check side's argument 1 - x never does, so its values
+    are evaluated once, here; only their tilt, with its domain check, is
+    redone at each erasure.  The bit side's argument 1 - rho~(1 - x) moves
+    only when the check side is tilted, and is otherwise evaluated once too.
+    Which sides sit at their identity erasure depends on the family alone,
+    so it is read at p, the first erasure probed.
+    """
+    p_bit, p_check = side_erasures(family, p)
+    check = _raw_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check", p_check)
+    bit_fns = (pair.bit_node_fn(), pair.bit_edge_fn())
+
+    def bit_at(q_bit: float, q_check: float) -> tuple:
+        return _raw_values(*bit_fns, 1.0 - _tilt_values(*check, "check", q_check), "bit", q_bit)
+
+    bit = bit_at(p_bit, p_check) if p_check == 0.0 else None
+
+    def residual(q: float) -> np.ndarray:
+        q_bit, q_check = side_erasures(family, q)
+        raw = bit_at(q_bit, q_check) if bit is None else bit
+        return _tilt_values(*raw, "bit", q_bit) - x
+
+    return residual
 
 
 @dataclass(frozen=True)
@@ -370,15 +406,17 @@ def threshold_search(
     """Largest p for which the DE residual stays non-positive on (0, 1].
 
     Bisection over p; ties break toward the smaller p.  Returns 0.0 when
-    even the smallest probed p admits a fixed point in (0, 1].
+    even the smallest probed p admits a fixed point in (0, 1].  Series whose
+    argument does not move with p are evaluated once per search.
     """
     family = family or pair.family
     xs = np.linspace(0.0, 1.0, grid_n + 1)[1:]
+    lo, hi = 1e-4, 1.0 - 1e-4
+    residual = _residual_fn(pair, xs, family, lo)
 
     def passes(p: float) -> bool:
-        return bool(np.max(de_residual(pair, xs, family=family, p=p)) <= resid_tol)
+        return bool(np.max(residual(p)) <= resid_tol)
 
-    lo, hi = 1e-4, 1.0 - 1e-4
     if not passes(lo):
         return 0.0
     if passes(hi):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from aracodes import tilting
+from aracodes import constructions, tilting
 from aracodes.constructions import (
     AsymptoticParams,
     build_catalog_pair,
@@ -323,6 +323,33 @@ class TestMatchedCubicComplex:
         for fn, series in ((pair.check_edge_fn(), pair.check.edge), (pair.check_node_fn(), pair.check.node)):
             want = np.polynomial.polynomial.polyval(z, series.coeffs)
             assert np.max(np.abs(fn(z) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("family, p", [("ARA", 0.2), ("ALDPC", 0.3), ("NSIRA", 0.07)])
+    def test_one_cubic_evaluation_per_call(self, monkeypatch, family, p):
+        # the untilted check edge reads the image node and edge off one cubic
+        # evaluation, with the same values as untilting them separately
+        calls = []
+
+        def counted(q):
+            fn = matched_cubic_edge_fn(q)
+
+            def edge(x):
+                calls.append(q)
+                return fn(x)
+
+            return edge
+
+        monkeypatch.setattr(constructions, "matched_cubic_edge_fn", counted)
+        node_fn, edge_fn = constructions._bit_regular_check_fns(family, p)
+        z = 0.9 * np.exp(1j * np.linspace(0.0, np.pi, 97))
+        for fn in (node_fn, edge_fn):
+            calls.clear()
+            got = fn(z)
+            assert len(calls) == 1
+        p_bit, p_check = tilting.side_erasures(family, p)
+        image_node, image_edge = constructions._image_fns(monomial(3, 3), p_bit, 0.0, matched_cubic_edge_fn(p_bit))
+        want = tilting.untilt(image_node(z), image_edge(z), "check", p_check)[1]
+        assert np.array_equal(got, want)
 
 
 class TestSolveCheckFromBit:

@@ -37,6 +37,40 @@ class TestEval:
         xs = np.linspace(0, 1, 11)
         assert np.allclose(s(xs), xs)
 
+    @staticmethod
+    def plain_horner(coeffs, x):
+        x = np.asarray(x, dtype=float)
+        result = np.zeros_like(x)
+        for c in coeffs[::-1]:
+            result = result * x + c
+        return result
+
+    SERIES = PowerSeries(np.random.default_rng(7).random(513) / 256.0)
+    INPUTS = [
+        0.37,
+        np.array(0.81),
+        np.linspace(0.0, 1.0, 1000),
+        np.random.default_rng(8).random((7, 9)),
+    ]
+
+    @pytest.mark.parametrize("x", INPUTS, ids=["float", "0-d", "1-d", "2-d"])
+    def test_in_place_horner_bit_identical(self, x):
+        got = self.SERIES(x)
+        want = self.plain_horner(self.SERIES.coeffs, x)
+        assert np.shape(got) == np.shape(x)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x", [0.37, np.array(0.81), np.float64(0.5), 1])
+    def test_scalar_input_returns_float(self, x):
+        assert type(self.SERIES(x)) is float
+
+    @pytest.mark.parametrize("x", INPUTS[1:], ids=["0-d", "1-d", "2-d"])
+    def test_input_not_mutated(self, x):
+        before = x.copy()
+        out = self.SERIES(x)
+        assert np.array_equal(x, before)
+        assert out is not x
+
 
 class TestRingOps:
     def test_reciprocal_geometric(self):

@@ -9,6 +9,7 @@ from aracodes.powerseries import (
     DegreeDistribution,
     DegreePair,
     InvalidParameterError,
+    NumericDomainError,
     PowerSeries,
     monomial,
 )
@@ -391,6 +392,87 @@ class TestThresholdSearch:
         assert stars[0] < 0.5
         assert all(a < b for a, b in zip(stars, stars[1:]))
         assert stars[-1] == pytest.approx(0.5, abs=5e-3)
+
+    @staticmethod
+    def reference_search(pair, grid_n=1000, p_tol=1e-5, resid_tol=1e-9):
+        """The plain bisection: the full DE residual at every probed p."""
+        xs = np.linspace(0.0, 1.0, grid_n + 1)[1:]
+        passes = lambda p: bool(np.max(de_residual(pair, xs, p=p)) <= resid_tol)
+        lo, hi = 1e-4, 1.0 - 1e-4
+        if not passes(lo):
+            return 0.0
+        if passes(hi):
+            return hi
+        while hi - lo > p_tol:
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def test_matches_reference_bisection(self):
+        pairs = [
+            truncate_pair(cons.build_catalog_pair(name, entry.representative_p, order=64), 64, 64)
+            for name, entry in sorted(cons.CATALOG.items())
+        ]
+        pairs.append(chop_pair(cons.self_matched_ara(0.5, order=256), 16))
+        stars = [threshold_search(pair) for pair in pairs]
+        assert stars == [self.reference_search(pair) for pair in pairs]
+        assert all(0.0 < star < 1.0 - 1e-4 for star in stars)
+
+    @staticmethod
+    def counted_calls(monkeypatch, pair):
+        """PowerSeries evaluations in one threshold search, keyed by series."""
+        counts = {}
+        call = PowerSeries.__call__
+
+        def counting(series, x):
+            counts[id(series)] = counts.get(id(series), 0) + 1
+            return call(series, x)
+
+        monkeypatch.setattr(PowerSeries, "__call__", counting)
+        star = threshold_search(pair)
+        assert 0.0 < star < 1.0 - 1e-4  # lo passes, hi fails: every bisection step runs
+        return counts
+
+    @staticmethod
+    def bisection_probes(p_tol=1e-5):
+        lo, hi, probes = 1e-4, 1.0 - 1e-4, 2
+        while hi - lo > p_tol:
+            lo, probes = 0.5 * (lo + hi), probes + 1  # the width halves either way
+        return probes
+
+    def test_aldpc_evaluates_each_series_once(self, monkeypatch):
+        pair = truncate_pair(cons.self_matched_aldpc(0.5, order=64), 64, 64)
+        counts = self.counted_calls(monkeypatch, pair)
+        series = (pair.check.edge, pair.bit.node, pair.bit.edge)
+        assert counts == {id(s): 1 for s in series}
+
+    def test_ara_evaluates_check_side_once(self, monkeypatch):
+        pair = truncate_pair(cons.self_matched_ara(0.5, order=64), 64, 64)
+        counts = self.counted_calls(monkeypatch, pair)
+        probes = self.bisection_probes()
+        assert counts == {
+            id(pair.check.node): 1,
+            id(pair.check.edge): 1,
+            id(pair.bit.node): probes,
+            id(pair.bit.edge): probes,
+        }
+
+    def test_tilt_domain_checked_at_every_p(self):
+        # A check node above 1 / p makes the check tilt's denominator 1 - p R
+        # vanish for large p only: the first probe passes the check.
+        bit = DegreeDistribution.from_node(monomial(3, 8), exact_mean=3.0)
+        node = PowerSeries([0.0, 0.0, 3.0])
+        check = DegreeDistribution(node=node, edge=node.derivative() * (1.0 / 6.0), mean=6.0)
+        pair = DegreePair(bit=bit, check=check, family="ARA", p=0.2)
+        xs = np.linspace(0.0, 1.0, 1001)[1:]
+        assert np.all(np.isfinite(de_residual(pair, xs, p=1e-4)))
+        with pytest.raises(NumericDomainError):
+            de_residual(pair, xs, p=0.5)
+        with pytest.raises(NumericDomainError):
+            threshold_search(pair)
 
     def test_area_identity(self):
         for name, p in [("self-matched-ara", 0.5), ("bit-regular-ara", 0.2)]:
