@@ -11,7 +11,6 @@ unknowns against a high-rate random outer code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,40 +24,49 @@ class ConstructionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra (dense, uint8 rows)
+# GF(2) linear algebra (rows packed into Python ints)
 # ---------------------------------------------------------------------------
 
 def gf2_eliminate(A: np.ndarray, b: np.ndarray) -> tuple[int, list[int], np.ndarray, np.ndarray]:
-    """Row-reduce [A | b] over GF(2).
+    """Row-reduce [A | b] over GF(2) to reduced row echelon form.
 
-    Returns (rank, pivot column list, reduced A, reduced b).  Rows of A
-    are modified on a copy; b likewise.
+    Each row of [A | b] is packed into one Python int, column c at bit c
+    and b at bit ``cols``, so a row operation is one xor at any width.
+    Returns (rank, pivot column list, reduced A, reduced b) as new uint8
+    arrays; the inputs are read mod 2 and left unchanged.
     """
-    A = (np.asarray(A, dtype=np.uint8) & 1).copy()
-    b = (np.asarray(b, dtype=np.uint8) & 1).copy()
+    A = np.asarray(A, dtype=np.uint8)
     rows, cols = A.shape
+    M = np.empty((rows, cols + 1), dtype=np.uint8)
+    M[:, :cols] = A
+    M[:, cols] = b
+    M &= 1
+    packed = np.packbits(M, axis=1, bitorder="little")
+    R = [int.from_bytes(row, "little") for row in packed]
+
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        hit = -1
-        for rr in range(r, rows):
-            if A[rr, c]:
-                hit = rr
-                break
-        if hit < 0:
-            continue
-        if hit != r:
-            A[[r, hit]] = A[[hit, r]]
-            b[[r, hit]] = b[[hit, r]]
-        mask = A[:, c].astype(bool)
-        mask[r] = False
-        A[mask] ^= A[r]
-        b[mask] ^= b[r]
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
-    return r, pivots, A, b
+        bit = 1 << c
+        for hit in range(r, rows):
+            if R[hit] & bit:
+                break
+        else:
+            continue
+        pivot = R[hit]
+        R[hit] = R[r]
+        R = [x ^ pivot if x & bit else x for x in R]
+        R[r] = pivot
+        pivots.append(c)
+        r += 1
+
+    width = packed.shape[1]
+    data = b"".join([x.to_bytes(width, "little") for x in R])
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(rows, width)
+    M = np.unpackbits(packed, axis=1, count=cols + 1, bitorder="little")
+    return r, pivots, M[:, :cols], M[:, cols]
 
 
 def gf2_solve_unique(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -108,20 +116,6 @@ class CodeInstance:
     @property
     def info_len(self) -> int:
         return self.k - len(self.pilot_set) - self.m_outer
-
-    def descriptor(self) -> str:
-        doc = {
-            "k": self.k,
-            "family": self.family,
-            "seed": self.seed,
-            "d_L": self.d_L,
-            "d_R": self.d_R,
-            "check_degrees": self.check_degrees.tolist(),
-            "bit_degrees": self.bit_degrees.tolist(),
-            "pilots": self.pilot_set.tolist(),
-            "outer_shape": list(self.outer_P.shape),
-        }
-        return json.dumps(doc)
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -255,9 +249,6 @@ class Codeword:
     def n(self) -> int:
         return len(self.u) + len(self.z)
 
-    def to_string(self) -> str:
-        return "".join(str(int(b)) for b in self.u) + "|" + "".join(str(int(b)) for b in self.z)
-
 
 def encode(inst: CodeInstance, info: np.ndarray) -> Codeword:
     """Systematic encoding: accumulate, permute into checks, accumulate.
@@ -297,44 +288,12 @@ def encode(inst: CodeInstance, info: np.ndarray) -> Codeword:
     return Codeword(u=u, z=np.bitwise_xor.accumulate(w))
 
 
-def check_codeword(inst: CodeInstance, cw: Codeword) -> bool:
-    """Exhaustively verify all graph, pilot, and outer-code constraints."""
-    v = (np.cumsum(cw.u, dtype=np.int64) & 1).astype(np.uint8)
-    w = np.bitwise_xor.reduceat(v[inst.edge_targets], inst.check_offsets[:-1])
-    z = (np.cumsum(w, dtype=np.int64) & 1).astype(np.uint8)
-    if not np.array_equal(z, cw.z):
-        return False
-    if np.any(v[inst.pilot_set]):
-        return False
-    m = inst.m_outer
-    if m:
-        want = (inst.outer_P @ v[: inst.k - m]) & 1
-        if not np.array_equal(v[inst.k - m :], want):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ReceivedWord:
     """Channel output: -1 marks an erasure, otherwise the bit value."""
 
     u_vals: np.ndarray  # int8, length k
     z_vals: np.ndarray  # int8, length n_checks
-
-    def to_string(self) -> str:
-        sym = {-1: "e", 0: "0", 1: "1"}
-        return "".join(sym[int(x)] for x in self.u_vals) + "|" + "".join(
-            sym[int(x)] for x in self.z_vals
-        )
-
-    @classmethod
-    def from_string(cls, text: str) -> "ReceivedWord":
-        u_part, z_part = text.split("|")
-        conv = lambda ch: -1 if ch == "e" else int(ch)
-        return cls(
-            u_vals=np.array([conv(c) for c in u_part], dtype=np.int8),
-            z_vals=np.array([conv(c) for c in z_part], dtype=np.int8),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -570,60 +529,60 @@ def decode(inst: CodeInstance, rcv: ReceivedWord, use_outer: bool = True) -> Dec
 def ml_reference_decode(inst: CodeInstance, rcv: ReceivedWord) -> tuple[bool, Optional[np.ndarray]]:
     """Full GF(2) solve of every constraint; the optimal erasure decoder.
 
-    Returns (unique, v) where unique says the entire state is pinned by
-    the received word.  Intended for small k as a correctness oracle.
+    The unknowns are the k punctured bits, then the erased systematic
+    bits, then the erased parity bits.  The rows are the accumulator
+    equations v_j + v_{j-1} + u_j = 0, the checks (socket bits plus
+    z_i + z_{i-1}), the pilots and the outer constraints, in that order.
+    The matrix is built from one flat list of (row, column) incidences
+    whose repeats cancel mod 2.  Returns (unique, v) where unique says the
+    entire state is pinned by the received word.  Intended for small k
+    as a correctness oracle.
     """
     k, mc, m = inst.k, inst.n_checks, inst.m_outer
-    erased_u = np.flatnonzero(rcv.u_vals < 0)
-    erased_z = np.flatnonzero(rcv.z_vals < 0)
-    n_vars = k + len(erased_u) + len(erased_z)
-    u_col = {int(j): k + i for i, j in enumerate(erased_u)}
-    z_col = {int(j): k + len(erased_u) + i for i, j in enumerate(erased_z)}
+    u_lost, z_lost = rcv.u_vals < 0, rcv.z_vals < 0
+    erased_u, erased_z = np.flatnonzero(u_lost), np.flatnonzero(z_lost)
+    n_eu, n_ez, n_pilots = len(erased_u), len(erased_z), len(inst.pilot_set)
+    n_vars = k + n_eu + n_ez
+    at_check, at_pilot, at_outer = k, k + mc, k + mc + n_pilots
+    n_rows = at_outer + m
+    j = np.arange(k)
+    z_cols = k + n_eu + np.arange(n_ez)
+    next_z = erased_z + 1 < mc  # z_i also enters check i + 1
+    outer_r, outer_c = np.nonzero(inst.outer_P)
 
-    rows = []
-    rhs = []
-    # accumulator: v_j + v_{j-1} + u_j = 0
-    for j in range(k):
-        row = np.zeros(n_vars, dtype=np.uint8)
-        row[j] ^= 1
-        if j > 0:
-            row[j - 1] ^= 1
-        r = 0
-        if j in u_col:
-            row[u_col[j]] ^= 1
-        else:
-            r ^= int(rcv.u_vals[j])
-        rows.append(row)
-        rhs.append(r)
-    # checks: sum of socket bits + z_i + z_{i-1} = 0
-    for i in range(mc):
-        row = np.zeros(n_vars, dtype=np.uint8)
-        for t in inst.edge_targets[inst.check_offsets[i] : inst.check_offsets[i + 1]]:
-            row[t] ^= 1
-        r = 0
-        for zi in (i, i - 1):
-            if zi < 0:
-                continue
-            if zi in z_col:
-                row[z_col[zi]] ^= 1
-            else:
-                r ^= int(rcv.z_vals[zi])
-        rows.append(row)
-        rhs.append(r)
-    for j in inst.pilot_set:
-        row = np.zeros(n_vars, dtype=np.uint8)
-        row[j] = 1
-        rows.append(row)
-        rhs.append(0)
-    for r_out in range(m):
-        row = np.zeros(n_vars, dtype=np.uint8)
-        row[k - m + r_out] ^= 1
-        for i in np.flatnonzero(inst.outer_P[r_out]):
-            row[i] ^= 1
-        rows.append(row)
-        rhs.append(0)
+    row = np.concatenate([
+        j,  # accumulator j: v_j
+        j[1:],  # v_{j-1}
+        erased_u,  # erased u_j
+        at_check + np.repeat(np.arange(mc), inst.check_degrees),  # check sockets
+        at_check + erased_z,  # erased z_i in check i
+        at_check + 1 + erased_z[next_z],  # and in check i + 1
+        at_pilot + np.arange(n_pilots),
+        at_outer + np.arange(m),  # outer parity v_{k-m+r}
+        at_outer + outer_r,  # outer_P entries
+    ])
+    col = np.concatenate([
+        j,
+        j[:-1],
+        k + np.arange(n_eu),
+        inst.edge_targets,
+        z_cols,
+        z_cols[next_z],
+        inst.pilot_set,
+        j[k - m :],
+        outer_c,
+    ])
+    A = np.bincount(row * n_vars + col, minlength=n_rows * n_vars).reshape(n_rows, n_vars)
+    A = (A & 1).astype(np.uint8)
 
-    x = gf2_solve_unique(np.array(rows, dtype=np.uint8), np.array(rhs, dtype=np.uint8))
+    # accumulator rows hold the received u_j, check rows z_i + z_{i-1}
+    rhs = np.zeros(n_rows, dtype=np.uint8)
+    rhs[:k] = np.where(u_lost, 0, rcv.u_vals)
+    z_known = np.where(z_lost, 0, rcv.z_vals).astype(np.uint8)
+    rhs[at_check:at_pilot] = z_known
+    rhs[at_check + 1 : at_pilot] ^= z_known[:-1]
+
+    x = gf2_solve_unique(A, rhs)
     if x is None:
         return False, None
     return True, x[:k].astype(np.int8)

@@ -12,7 +12,6 @@ from aracodes.codec import (
     ReceivedWord,
     decode,
     encode,
-    check_codeword,
     gf2_eliminate,
     gf2_solve_unique,
     graph_reduce_instance,
@@ -23,6 +22,13 @@ from aracodes.codec import (
 )
 from aracodes.constructions import self_matched_ara
 from aracodes.powerseries import DegreeDistribution, DegreePair, InvalidParameterError, monomial
+from oracles import (
+    check_codeword,
+    codeword_to_string,
+    instance_descriptor,
+    received_from_string,
+    received_to_string,
+)
 
 
 def regular_pair():
@@ -91,6 +97,103 @@ def stack_peel(rg):
     return resolved
 
 
+def loop_eliminate(A, b):
+    """Row-reduce [A | b] over GF(2) with a pivot loop over uint8 rows."""
+    A = (np.asarray(A, dtype=np.uint8) & 1).copy()
+    b = (np.asarray(b, dtype=np.uint8) & 1).copy()
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        hit = -1
+        for rr in range(r, rows):
+            if A[rr, c]:
+                hit = rr
+                break
+        if hit < 0:
+            continue
+        if hit != r:
+            A[[r, hit]] = A[[hit, r]]
+            b[[r, hit]] = b[[hit, r]]
+        mask = A[:, c].astype(bool)
+        mask[r] = False
+        A[mask] ^= A[r]
+        b[mask] ^= b[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return r, pivots, A, b
+
+
+def loop_ml_system(inst, rcv):
+    """The (A, b) of the full GF(2) solve, built row by row in Python loops."""
+    k, mc, m = inst.k, inst.n_checks, inst.m_outer
+    erased_u = np.flatnonzero(rcv.u_vals < 0)
+    erased_z = np.flatnonzero(rcv.z_vals < 0)
+    n_vars = k + len(erased_u) + len(erased_z)
+    u_col = {int(j): k + i for i, j in enumerate(erased_u)}
+    z_col = {int(j): k + len(erased_u) + i for i, j in enumerate(erased_z)}
+    rows, rhs = [], []
+    # accumulator: v_j + v_{j-1} + u_j = 0
+    for j in range(k):
+        row = np.zeros(n_vars, dtype=np.uint8)
+        row[j] ^= 1
+        if j > 0:
+            row[j - 1] ^= 1
+        r = 0
+        if j in u_col:
+            row[u_col[j]] ^= 1
+        else:
+            r ^= int(rcv.u_vals[j])
+        rows.append(row)
+        rhs.append(r)
+    # checks: sum of socket bits + z_i + z_{i-1} = 0
+    for i in range(mc):
+        row = np.zeros(n_vars, dtype=np.uint8)
+        for t in inst.edge_targets[inst.check_offsets[i] : inst.check_offsets[i + 1]]:
+            row[t] ^= 1
+        r = 0
+        for zi in (i, i - 1):
+            if zi < 0:
+                continue
+            if zi in z_col:
+                row[z_col[zi]] ^= 1
+            else:
+                r ^= int(rcv.z_vals[zi])
+        rows.append(row)
+        rhs.append(r)
+    for j in inst.pilot_set:
+        row = np.zeros(n_vars, dtype=np.uint8)
+        row[j] = 1
+        rows.append(row)
+        rhs.append(0)
+    for r_out in range(m):
+        row = np.zeros(n_vars, dtype=np.uint8)
+        row[k - m + r_out] ^= 1
+        for i in np.flatnonzero(inst.outer_P[r_out]):
+            row[i] ^= 1
+        rows.append(row)
+        rhs.append(0)
+    A = np.array(rows, dtype=np.uint8).reshape(len(rows), n_vars)
+    return A, np.array(rhs, dtype=np.uint8)
+
+
+def random_system(rng, rows, cols, rank_cap=None, consistent=False, top=1):
+    """A random [A | b] with entries in 0..top, rank at most rank_cap when given."""
+    if rank_cap is None:
+        A = rng.integers(0, top + 1, size=(rows, cols), dtype=np.uint8)
+    else:
+        basis = rng.integers(0, 2, size=(rank_cap, cols), dtype=np.uint8)
+        mix = rng.integers(0, 2, size=(rows, rank_cap), dtype=np.uint8)
+        A = ((mix @ basis) & 1).astype(np.uint8)
+    if consistent:
+        b = ((A & 1) @ rng.integers(0, 2, size=cols, dtype=np.uint8) & 1).astype(np.uint8)
+    else:
+        b = rng.integers(0, top + 1, size=rows, dtype=np.uint8)
+    return A, b
+
+
 class TestGF2:
     def test_rank_identity(self):
         A = np.eye(4, dtype=np.uint8)
@@ -121,6 +224,142 @@ class TestGF2:
         expect = np.prod([1.0 - 2.0 ** (-i) for i in range(1, m + 1)])
         sigma = np.sqrt(expect * (1 - expect) / trials)
         assert abs(hits / trials - expect) < 4 * sigma + 1e-3
+
+    def test_matches_loop_reference(self):
+        # packed-row elimination against the uint8 pivot loop: equal rank,
+        # pivots, reduced A and reduced b, widths crossing 64-bit words, and
+        # entries above 1 (some systems draw 0..3 or 0..255) read mod 2
+        rng = np.random.default_rng(2024)
+        widths = [0, 1, 7, 8, 9, 63, 64, 65, 127, 130]
+        kinds = {"deficient": 0, "inconsistent": 0, "full": 0}
+        for i in range(2400):
+            cols = widths[i // 2 % len(widths)] if i % 2 else int(rng.integers(0, 81))
+            rows = int(rng.integers(0, min(2 * cols, 150) + 4))
+            cap = int(rng.integers(0, min(rows, cols) + 1)) if i % 3 == 0 else None
+            A, b = random_system(rng, rows, cols, cap, consistent=i % 5 == 0, top=(1, 1, 3, 255)[i % 4])
+            A0, b0 = A.copy(), b.copy()
+            rank, pivots, R, rb = gf2_eliminate(A, b)
+            ref = loop_eliminate(A, b)
+            assert np.array_equal(A, A0) and np.array_equal(b, b0)  # inputs untouched
+            assert rank == ref[0] and pivots == ref[1]
+            assert R.dtype == rb.dtype == np.uint8
+            assert R.shape == (rows, cols) and rb.shape == (rows,)
+            assert np.array_equal(R, ref[2]) and np.array_equal(rb, ref[3])
+            if rank < min(rows, cols):
+                kinds["deficient"] += 1
+            if np.any(rb[rank:]):
+                kinds["inconsistent"] += 1
+            if rank == cols:
+                kinds["full"] += 1
+        assert min(kinds.values()) >= 200, kinds
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (0, 70), (4, 0), (70, 0)])
+    def test_empty_systems(self, shape):
+        rows, cols = shape
+        A = np.zeros(shape, dtype=np.uint8)
+        b = np.ones(rows, dtype=np.uint8)
+        rank, pivots, R, rb = gf2_eliminate(A, b)
+        ref = loop_eliminate(A, b)
+        assert rank == ref[0] == 0 and pivots == ref[1] == []
+        assert R.shape == shape and rb.shape == (rows,)
+        assert np.array_equal(R, ref[2]) and np.array_equal(rb, ref[3])
+
+
+def loop_solve(A, b):
+    """Unique solution of A x = b from the pivot-loop reference, else None."""
+    rank, pivots, _, rb = loop_eliminate(A, b)
+    if rank < A.shape[1] or np.any(rb[rank:]):
+        return None
+    x = np.zeros(A.shape[1], dtype=np.uint8)
+    x[pivots] = rb[:rank]
+    return x
+
+
+def odd_check_pair():
+    """Degree-3 bits against degree-4 checks: socket repair leaves one odd-sized check."""
+    bit = DegreeDistribution.from_node(monomial(3, 8), exact_mean=3.0)
+    check = DegreeDistribution.from_node(monomial(4, 8), exact_mean=4.0, allow_degree_one=True)
+    return DegreePair(bit=bit, check=check, family="ARA", p=0.5)
+
+
+class TestMLReference:
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        """The (A, b) each ml_reference_decode call hands to gf2_solve_unique."""
+        seen = []
+
+        def spy(A, b):
+            seen.append((A.copy(), b.copy()))
+            return gf2_solve_unique(A, b)
+
+        monkeypatch.setattr(codec, "gf2_solve_unique", spy)
+        return seen
+
+    def check_against_loop(self, systems, inst, rcv):
+        unique, v = ml_reference_decode(inst, rcv)
+        (A, b), = systems
+        systems.clear()
+        A_ref, b_ref = loop_ml_system(inst, rcv)
+        assert A.dtype == b.dtype == np.uint8
+        assert A.shape == A_ref.shape and np.array_equal(A, A_ref)
+        assert b.shape == b_ref.shape and np.array_equal(b, b_ref)
+        x = loop_solve(A_ref, b_ref)
+        assert unique == (x is not None)
+        if unique:
+            assert v.dtype == np.int8 and np.array_equal(v, x[: inst.k])
+        else:
+            assert v is None
+        return unique, v
+
+    def test_matches_loop_build(self, systems):
+        # the criterion 09(c) generator: k 6..16, m 0..3, ten draws per word
+        pair = self_matched_ara(0.5, order=64)
+        rng = np.random.default_rng(909)
+        n = unique_count = 0
+        while n < 2000:
+            k = int(rng.integers(6, 17))
+            m = int(rng.integers(0, 4))
+            inst = instantiate(pair, k=k, d_L=12, d_R=12, m_outer=m, seed=int(rng.integers(1 << 30)))
+            cw = encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8))
+            for _ in range(10):
+                unique, v = self.check_against_loop(systems, inst, erase(cw, rng, float(rng.uniform(0.1, 0.7))))
+                if unique:
+                    assert np.array_equal(v, np.cumsum(cw.u) & 1)
+                unique_count += unique
+                n += 1
+        assert 200 <= unique_count <= n - 200
+
+    # name -> (instance builder, what the instance must show)
+    EDGE_INSTANCES = {
+        "outer": (lambda: instantiate(self_matched_ara(0.5, order=64), k=16, d_L=12, d_R=12,
+                                      m_outer=3, seed=4), lambda inst: inst.m_outer == 3),
+        "no-outer": (lambda: instantiate(self_matched_ara(0.5, order=64), k=16, d_L=12, d_R=12,
+                                         m_outer=0, seed=4), lambda inst: inst.m_outer == 0),
+        "pilots": (lambda: instantiate(self_matched_ara(0.5, order=64), k=16, d_L=3, d_R=12,
+                                       m_outer=2, seed=3), lambda inst: len(inst.pilot_set) == 3),
+        "odd-check": (lambda: instantiate(odd_check_pair(), k=5, d_L=8, d_R=8, seed=1),
+                      lambda inst: sorted(inst.check_degrees.tolist()) == [3, 4, 4, 4]),
+    }
+
+    @pytest.mark.parametrize("name", list(EDGE_INSTANCES))
+    def test_edge_instances(self, systems, name):
+        # no erasures, every position erased, then random draws
+        make, shows = self.EDGE_INSTANCES[name]
+        inst = make()
+        assert shows(inst)
+        rng = np.random.default_rng(inst.k)
+        cw = encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8))
+        v_true = np.cumsum(cw.u) & 1
+        clean = ReceivedWord(u_vals=cw.u.astype(np.int8), z_vals=cw.z.astype(np.int8))
+        unique, v = self.check_against_loop(systems, inst, clean)
+        assert unique and np.array_equal(v, v_true)
+        lost = ReceivedWord(u_vals=-np.ones(inst.k, dtype=np.int8), z_vals=-np.ones(inst.n_checks, dtype=np.int8))
+        assert self.check_against_loop(systems, inst, lost) == (False, None)
+        for p in (0.2, 0.4, 0.6):
+            for _ in range(5):
+                unique, v = self.check_against_loop(systems, inst, erase(cw, rng, p))
+                if unique:
+                    assert np.array_equal(v, v_true)
 
 
 class TestQuantization:
@@ -547,18 +786,22 @@ class TestSerialization:
             u_vals=np.array([0, 1, -1, 1], dtype=np.int8),
             z_vals=np.array([-1, 0], dtype=np.int8),
         )
-        text = rcv.to_string()
+        text = received_to_string(rcv)
         assert text == "01e1|e0"
-        back = ReceivedWord.from_string(text)
+        back = received_from_string(text)
         assert np.array_equal(back.u_vals, rcv.u_vals)
         assert np.array_equal(back.z_vals, rcv.z_vals)
+
+    def test_codeword_string(self):
+        cw = encode(hand_instance(), np.array([1, 0, 0], dtype=np.uint8))
+        assert codeword_to_string(cw) == "100|101"
 
     def test_instance_descriptor(self):
         import json
 
         pair = self_matched_ara(0.5, order=128)
         inst = instantiate(pair, k=128, d_L=24, d_R=24, m_outer=4, seed=11)
-        doc = json.loads(inst.descriptor())
+        doc = json.loads(instance_descriptor(inst))
         assert doc["k"] == 128
         assert doc["outer_shape"] == [4, 124]
         assert sum(doc["check_degrees"]) == sum(doc["bit_degrees"])
