@@ -40,7 +40,7 @@ def _build_pair(args):
         args.p,
         b=args.b,
         order=args.M,
-        allow_unproven=getattr(args, "allow_unproven", False),
+        allow_unproven=args.allow_unproven,
     )
 
 
@@ -100,7 +100,6 @@ def cmd_simulate(args) -> int:
         b=args.b,
         order=args.M,
         use_outer=not args.no_outer,
-        all_zero=args.all_zero,
     )
     result = sim.run_sweep(cfg)
     sim.emit_csv(result, args.out)
@@ -139,7 +138,6 @@ def main(argv=None) -> int:
     p_sim.add_argument("--alpha", type=float, default=1.0)
     p_sim.add_argument("--outer-m", type=int, default=0)
     p_sim.add_argument("--no-outer", action="store_true")
-    p_sim.add_argument("--all-zero", action="store_true")
     p_sim.add_argument("--d-l", type=int, default=30)
     p_sim.add_argument("--d-r", type=int, default=30)
     p_sim.add_argument("--b", type=_parse_b, default=None)

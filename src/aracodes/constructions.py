@@ -41,9 +41,10 @@ from .powerseries import (
     edge_from_node,
     monomial,
     reciprocal,
+    TILTED_SIDES,
     t_operator,
 )
-from .tilting import TILTED_SIDES, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node
+from .tilting import _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node
 
 EULER_GAMMA = 0.57721566490153286061
 #: Critical constant of the head-coefficient sign condition.

@@ -42,6 +42,12 @@ from .tilting import side_erasures, untilt_node
 
 #: Closest approach to the z = 1 singularity on the unit circle.
 X_MIN = 1e-6
+#: Negative second differences (absolute) and integrals (relative to the
+#: candidate's scale) the circle criterion forgives as rounding.
+CONVEXITY_TOL = 1e-9
+INTEGRAL_TOL = 1e-8
+#: Series terms (coefficients 2 .. 7) stripped from the self-matched candidate.
+SELF_MATCHED_STRIP = 6
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,7 @@ class ConvexityReport:
         return self.verdict == "pass"
 
 
-def polya_verify(
-    candidate: PolyaCandidate,
-    grid_n: int = 8192,
-    conv_tol: float = 1e-9,
-    int_tol: float = 1e-8,
-) -> ConvexityReport:
+def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityReport:
     """Run the circle criterion: symmetry, convexity, integral, head signs.
 
     Convexity is tested by central second differences; an apparent
@@ -105,13 +106,13 @@ def polya_verify(
 
     # h is close to h(0) on the sliver [0, X_MIN] the grid leaves out
     integral = float(simpson(h, x=xs)) + X_MIN * float(h[0])
-    integral_ok = integral >= -int_tol * scale
+    integral_ok = integral >= -INTEGRAL_TOL * scale
 
     d2 = h[:-2] - 2.0 * h[1:-1] + h[2:]
     min_idx = int(np.argmin(d2))
     min_d2 = float(d2[min_idx])
     min_loc = float(xs[min_idx + 1])
-    convex_ok = min_d2 >= -conv_tol
+    convex_ok = min_d2 >= -CONVEXITY_TOL
     inconclusive = False
     if not convex_ok:
         # refine around the worst point; rescale by the step ratio squared
@@ -119,7 +120,7 @@ def polya_verify(
         d2r = refined[:-2] - 2.0 * refined[1:-1] + refined[2:]
         min_d2 = float(np.min(d2r)) * 16.0
         min_loc = float(np.linspace(X_MIN, np.pi, 4 * grid_n)[int(np.argmin(d2r)) + 1])
-        if min_d2 >= -conv_tol:
+        if min_d2 >= -CONVEXITY_TOL:
             convex_ok = True
         elif min_d2 >= -1e-6 * scale:
             inconclusive = True
@@ -181,7 +182,7 @@ def log_ratio_series(c: float, order: int) -> PowerSeries:
     return N * reciprocal((c * N + 1.0).truncated(order))
 
 
-def self_matched_candidate(c: float, strip: int = 6, order: int = 64) -> PolyaCandidate:
+def self_matched_candidate(c: float, order: int = 64) -> PolyaCandidate:
     """The stripped log-ratio candidate behind the self-matched families.
 
     The head sign flips exactly at c = (13 - sqrt(61)) / 9, which is what
@@ -193,6 +194,7 @@ def self_matched_candidate(c: float, strip: int = 6, order: int = 64) -> PolyaCa
         n = -z - np.log(1.0 - z)
         return n / (1.0 + c * n)
 
+    strip = SELF_MATCHED_STRIP
     head = log_ratio_series(c, max(order, strip + 2)).coeffs[2 : strip + 2]
     return strip_head(g, strip, head, label=f"log-ratio c={c:.4f}")
 
@@ -326,7 +328,6 @@ def alt_self_matched_probe(
     alpha: float,
     p_grid: Optional[np.ndarray] = None,
     order: int = 200,
-    coeff_tol: float = 1e-9,
 ) -> AltProbeReport:
     """Show that the square-root fixed point yields no valid two-sided pair.
 
@@ -356,7 +357,7 @@ def alt_self_matched_probe(
         check_mins[i] = float(check.coeffs.min())
 
     def interval(mins):
-        ok = grid[mins >= -coeff_tol]
+        ok = grid[mins >= -1e-9]
         return (float(ok.min()), float(ok.max())) if len(ok) else (np.nan, np.nan)
 
     bit_iv = interval(bit_mins)

@@ -217,7 +217,7 @@ def node_from_edge(edge: PowerSeries, exact_integral: Optional[float] = None) ->
     return PowerSeries(np.concatenate([[0.0], weighted / total]))
 
 
-def t_operator(f: Callable, tol: float = 1e-15) -> Callable:
+def t_operator(f: Callable) -> Callable:
     """Matching transform: returns x -> 1 - f^{-1}(1 - x).
 
     Requires f strictly increasing on [0, 1] with f(0) = 0 and f(1) = 1;
@@ -242,7 +242,7 @@ def t_operator(f: Callable, tol: float = 1e-15) -> Callable:
         a, b = 0.0, 1.0
         for _ in range(80):
             m = 0.5 * (a + b)
-            if b - a < tol:
+            if b - a < 1e-15:
                 break
             if float(f(m)) < y:
                 a = m
@@ -300,9 +300,6 @@ def truncate_bit(lam: PowerSeries, max_degree: int) -> tuple[PowerSeries, float]
     return PowerSeries(out), dropped
 
 
-NODE_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class DegreeDistribution:
     """A degree distribution held in node and edge perspective simultaneously."""
@@ -356,7 +353,10 @@ class DegreeDistribution:
         return max(0.0, 1.0 - float(self.edge.coeffs.sum()), 1.0 - float(self.node.coeffs.sum()))
 
 
-FAMILIES = ("ARA", "NSIRA", "ALDPC")
+#: The three code structures, by the sides that carry an accumulator.  Those
+#: are the sides the graph reduction tilts, and they fix the rate and the
+#: edges per information bit of a pair.
+TILTED_SIDES = {"ARA": ("bit", "check"), "NSIRA": ("check",), "ALDPC": ("bit",)}
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ class DegreePair:
     check_fns: Optional[tuple[Callable, Callable]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in TILTED_SIDES:
             raise InvalidParameterError(f"unknown family tag {self.family!r}")
         if not (0.0 < self.p < 1.0):
             raise InvalidParameterError("p must lie in (0, 1)")

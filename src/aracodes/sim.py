@@ -43,7 +43,6 @@ class SimConfig:
     b: Optional[float] = None
     order: int = 256
     use_outer: bool = True
-    all_zero: bool = False
     allow_unproven: bool = True
     workers: int = 0  # 0: take the worker-count override from the environment
 
@@ -151,10 +150,7 @@ def _trial_batch(
     for t in range(trial_lo, trial_hi):
         ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(p_index, t))
         rng = np.random.default_rng(ss)
-        if cfg.all_zero:
-            info = np.zeros(inst.info_len, dtype=np.uint8)
-        else:
-            info = rng.integers(0, 2, inst.info_len, dtype=np.uint8)
+        info = rng.integers(0, 2, inst.info_len, dtype=np.uint8)
         cw = codec.encode(inst, info)
         # channel randomness must not depend on the info word or outer setting
         chan_ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(p_index, t, 1))

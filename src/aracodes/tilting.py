@@ -25,6 +25,7 @@ from .powerseries import (
     NumericDomainError,
     PowerSeries,
     DegenerateInputError,
+    TILTED_SIDES,
     truncate_bit,
     truncate_check,
 )
@@ -122,8 +123,11 @@ def _untilt_fns(node_fn: Callable, edge_fn: Callable, side: str, p: float) -> tu
     )
 
 
-#: Sides each family's graph reduction tilts.
-TILTED_SIDES = {"ARA": ("bit", "check"), "NSIRA": ("check",), "ALDPC": ("bit",)}
+def _accumulated(family: str) -> tuple[bool, bool]:
+    """Whether the family's bit side and check side carry an accumulator."""
+    if family not in TILTED_SIDES:
+        raise InvalidParameterError(f"unknown family {family!r}")
+    return "bit" in TILTED_SIDES[family], "check" in TILTED_SIDES[family]
 
 
 def side_erasures(family: str, p: float) -> tuple[float, float]:
@@ -133,9 +137,8 @@ def side_erasures(family: str, p: float) -> tuple[float, float]:
     identity erasure, where (a, w) = (1, 0): p = 1 on the bit side, p = 0
     on the check side.
     """
-    if family not in TILTED_SIDES:
-        raise InvalidParameterError(f"unknown family {family!r}")
-    return (p if "bit" in TILTED_SIDES[family] else 1.0, p if "check" in TILTED_SIDES[family] else 0.0)
+    bit, check = _accumulated(family)
+    return p if bit else 1.0, p if check else 0.0
 
 
 @dataclass(frozen=True)
@@ -149,16 +152,15 @@ class TiltedPair:
     p: float
 
 
-def tilt_edge(pair: DegreePair, family: Optional[str] = None, p: Optional[float] = None) -> TiltedPair:
+def tilt_edge(pair: DegreePair, p: Optional[float] = None) -> TiltedPair:
     """Family-specific graph reduction of an edge-perspective pair.
 
     ARA tilts both sides, NSIRA only the check side, ALDPC only the bit
     side.
     """
-    family = family or pair.family
     p = _check_p(pair.p if p is None else p)
     M = max(pair.bit.order, pair.check.order)
-    p_bit, p_check = side_erasures(family, p)
+    p_bit, p_check = side_erasures(pair.family, p)
     return TiltedPair(
         tilt(pair.bit.node, pair.bit.edge.truncated(M), "bit", p_bit)[1].truncated(M),
         tilt(pair.check.node, pair.check.edge.truncated(M), "check", p_check)[1].truncated(M),
@@ -211,20 +213,19 @@ def de_iterate(state: DEState, pair: DegreePair, p: float) -> DEState:
     return DEState(clip(x0), clip(x1), clip(x2), clip(x3), clip(x4), clip(x5), state.iteration + 1)
 
 
-def de_residual(pair: DegreePair, x, family: Optional[str] = None, p: Optional[float] = None):
+def de_residual(pair: DegreePair, x, p: Optional[float] = None):
     """Fixed-point residual LHS(x) - x of the family's DE equation.
 
     Uses the pair's exact evaluators when present, truncated series
     otherwise.  Zero at every fixed point; negative everywhere on (0, 1)
     means the decoder erasure probability contracts to zero.
     """
-    family = family or pair.family
     p = _check_p(pair.p if p is None else p)
-    out = _residual_fn(pair, np.asarray(x, dtype=float), family, p)(p)
+    out = _residual_fn(pair, np.asarray(x, dtype=float), p)(p)
     return float(out) if out.ndim == 0 else out
 
 
-def _residual_fn(pair: DegreePair, x: np.ndarray, family: str, p: float) -> Callable[[float], np.ndarray]:
+def _residual_fn(pair: DegreePair, x: np.ndarray, p: float) -> Callable[[float], np.ndarray]:
     """The family's DE residual at fixed x, as a function of the erasure.
 
     A side's raw values are evaluated only where their argument moves with
@@ -235,7 +236,7 @@ def _residual_fn(pair: DegreePair, x: np.ndarray, family: str, p: float) -> Call
     Which sides sit at their identity erasure depends on the family alone,
     so it is read at p, the first erasure probed.
     """
-    p_bit, p_check = side_erasures(family, p)
+    p_bit, p_check = side_erasures(pair.family, p)
     check = _raw_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check", p_check)
     bit_fns = (pair.bit_node_fn(), pair.bit_edge_fn())
 
@@ -245,7 +246,7 @@ def _residual_fn(pair: DegreePair, x: np.ndarray, family: str, p: float) -> Call
     bit = bit_at(p_bit, p_check) if p_check == 0.0 else None
 
     def residual(q: float) -> np.ndarray:
-        q_bit, q_check = side_erasures(family, q)
+        q_bit, q_check = side_erasures(pair.family, q)
         raw = bit_at(q_bit, q_check) if bit is None else bit
         return _tilt_values(*raw, "bit", q_bit) - x
 
@@ -260,14 +261,18 @@ class StabilityReport:
     margin_at_1: float
 
 
-def stability(pair: DegreePair, p: Optional[float] = None, marginal_tol: float = 1e-6) -> StabilityReport:
+#: Distance from one within which a stability margin counts as holding.
+MARGINAL_TOL = 1e-6
+
+
+def stability(pair: DegreePair, p: Optional[float] = None) -> StabilityReport:
     """Derivative conditions of the fixed points at x = 0 and x = 1.
 
     The zero fixed point is stable when the derivative there is below one;
     the all-erased fixed point is usefully unstable when its derivative
     exceeds one, which needs degree-2 check mass.  Exactly matched pairs
     have both derivatives equal to one (the map is the identity), so the
-    predicates treat values within ``marginal_tol`` of one as holding.
+    predicates treat values within ``MARGINAL_TOL`` of one as holding.
     Each slope multiplies one side's tilted edge slope at 0 by the other's
     at 1, each side tilted at its erasure from :func:`side_erasures`.
     """
@@ -285,22 +290,24 @@ def stability(pair: DegreePair, p: Optional[float] = None, marginal_tol: float =
     margin0 = lam0 * rho1
     margin1 = rho0 * lam1
     return StabilityReport(
-        margin0 < 1.0 + marginal_tol, margin1 > 1.0 - marginal_tol, margin0, margin1
+        margin0 < 1.0 + MARGINAL_TOL, margin1 > 1.0 - MARGINAL_TOL, margin0, margin1
     )
 
 
-def design_rate(pair: DegreePair, family: Optional[str] = None) -> float:
-    """Design rate implied by the edge-count ratio of the two sides."""
-    family = family or pair.family
-    ratio = pair.bit.mean / pair.check.mean  # punctured-bit edges per check edge
+def design_rate(pair: DegreePair) -> float:
+    """Design rate implied by the edge-count ratio of the two sides.
+
+    Per punctured bit there are ``ratio`` checks.  Each punctured bit
+    carries one information bit, less one per check when the check side has
+    no accumulator (ALDPC: the checks constrain the transmitted bits
+    directly).  An accumulated bit side transmits one bit per punctured bit,
+    an accumulated check side one parity bit per check.
+    """
+    ratio = pair.bit.mean / pair.check.mean  # checks per punctured bit
     if not np.isfinite(ratio) or ratio <= 0.0:
         raise DegenerateInputError("edge-count ratio is degenerate")
-    if family == "ARA":
-        return 1.0 / (1.0 + ratio)
-    if family == "NSIRA":
-        return 1.0 / ratio
-    # ALDPC: checks constrain the transmitted bits directly
-    return 1.0 - ratio
+    bit, check = _accumulated(pair.family)
+    return (1.0 - (not check) * ratio) / (bit + check * ratio)
 
 
 @dataclass(frozen=True)
@@ -309,22 +316,21 @@ class ComplexityReport:
     chi_decode: float
 
 
-def complexity(pair: DegreePair, family: Optional[str] = None, p: Optional[float] = None) -> ComplexityReport:
+def complexity(pair: DegreePair) -> ComplexityReport:
     """Edges per information bit for encoder and decoder.
 
-    ALDPC encoding is graph-dependent (it can be quadratic without
-    preprocessing), so only the decoding count is reported there.
+    Each accumulator adds its chain edges to the pair's bit-side edges:
+    three per punctured bit on the bit side, two per parity bit on the
+    check side.  ALDPC encoding is graph-dependent (it can be quadratic
+    without preprocessing), so only the decoding count is reported there.
     """
-    family = family or pair.family
-    rate = design_rate(pair, family)
+    rate = design_rate(pair)
     mean = pair.bit.mean
-    if family == "ARA":
-        chi = 3.0 + mean + 2.0 * (1.0 - rate) / rate
-        return ComplexityReport(chi, chi)
-    if family == "NSIRA":
-        chi = mean + 2.0 / rate
-        return ComplexityReport(chi, chi)
-    return ComplexityReport(None, (3.0 + mean) / rate)  # ALDPC
+    bit, check = _accumulated(pair.family)
+    if not check:
+        return ComplexityReport(None, (3.0 + mean) / rate)
+    chi = 3.0 * bit + mean + 2.0 * (1.0 - rate * bit) / rate
+    return ComplexityReport(chi, chi)
 
 
 _SWAP_FAMILY = {"ARA": "ARA", "NSIRA": "ALDPC", "ALDPC": "NSIRA"}
@@ -396,32 +402,26 @@ def chop_pair(pair: DegreePair, max_degree: int) -> DegreePair:
     return DegreePair(bit=bit, check=check, family=pair.family, p=pair.p, b=pair.b, label=pair.label)
 
 
-def threshold_search(
-    pair: DegreePair,
-    family: Optional[str] = None,
-    grid_n: int = 1000,
-    p_tol: float = 1e-5,
-    resid_tol: float = 1e-9,
-) -> float:
+def threshold_search(pair: DegreePair, grid_n: int = 1000) -> float:
     """Largest p for which the DE residual stays non-positive on (0, 1].
 
-    Bisection over p; ties break toward the smaller p.  Returns 0.0 when
+    Bisection over p to within 1e-5, counting a residual up to 1e-9 as
+    non-positive; ties break toward the smaller p.  Returns 0.0 when
     even the smallest probed p admits a fixed point in (0, 1].  Series whose
     argument does not move with p are evaluated once per search.
     """
-    family = family or pair.family
     xs = np.linspace(0.0, 1.0, grid_n + 1)[1:]
     lo, hi = 1e-4, 1.0 - 1e-4
-    residual = _residual_fn(pair, xs, family, lo)
+    residual = _residual_fn(pair, xs, lo)
 
     def passes(p: float) -> bool:
-        return bool(np.max(residual(p)) <= resid_tol)
+        return bool(np.max(residual(p)) <= 1e-9)
 
     if not passes(lo):
         return 0.0
     if passes(hi):
         return hi
-    while hi - lo > p_tol:
+    while hi - lo > 1e-5:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid

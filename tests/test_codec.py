@@ -713,13 +713,18 @@ class TestDecodeEndToEnd:
         pair = self_matched_ara(0.5, order=64)
         rng = np.random.default_rng(42)
         checked = 0
-        # tiny instances, then instances large enough for degree-2 leftovers
-        for k_range, m_range, n_instances in [((6, 17), (0, 4), 40), ((48, 97), (4, 9), 30)]:
+        degree_two_calls = []
+        # tiny instances, instances large enough for degree-2 leftovers, and
+        # tiny instances with d_L = 3, where every one has pilots
+        batches = [((6, 17), (0, 4), 12, 40), ((48, 97), (4, 9), 12, 30), ((8, 33), (0, 4), 3, 60)]
+        for k_range, m_range, d_L, n_instances in batches:
             outer_calls.clear()
             for s in range(n_instances):
                 k = int(rng.integers(*k_range))
                 m = int(rng.integers(*m_range))
-                inst = instantiate(pair, k=k, d_L=12, d_R=12, m_outer=m, seed=s)
+                inst = instantiate(pair, k=k, d_L=d_L, d_R=12, m_outer=m, seed=s)
+                if d_L == 3:
+                    assert len(inst.pilot_set) > 0
                 info = rng.integers(0, 2, inst.info_len, dtype=np.uint8)
                 cw = encode(inst, info)
                 v_true = np.cumsum(cw.u) & 1
@@ -732,8 +737,9 @@ class TestDecodeEndToEnd:
                         assert np.array_equal(res.v_vals, v_ml)
                         assert np.array_equal(res.v_vals, v_true)
                     checked += 1
-        assert checked == 700
-        assert sum(n_two > 0 for n_two in outer_calls) >= 20
+            degree_two_calls.append(sum(n_two > 0 for n_two in outer_calls))
+        assert checked == 1300
+        assert degree_two_calls[1] >= 20
 
     def test_outer_solves_through_degree_two_cycle(self):
         # seeded case: after peeling, the degree-2 groups over the unknown

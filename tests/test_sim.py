@@ -166,9 +166,16 @@ class TestSweep:
         sigma = 2.0 * np.sqrt(0.25 / 60)
         assert large.word_rates[0] <= small.word_rates[0] + sigma
 
-    def test_all_zero_flag(self):
-        res = run_sweep(small_config(all_zero=True, trials=10))
-        assert res.trials_run == [10, 10, 10]
+    def test_rows_independent_of_info_word(self, monkeypatch):
+        # on the BEC a decoder that never guesses succeeds or fails on the
+        # erasure pattern alone, so sending the all-zero word changes no row
+        configs = [small_config(trials=10, use_outer=use_outer) for use_outer in (True, False)]
+        random_words = [run_sweep(cfg).rows() for cfg in configs]
+        assert random_words[0] != random_words[1]  # the outer code rescues words here
+        assert all(row[2] > 0.0 and row[-1] == 10 for row in random_words[1])
+        encode = codec.encode
+        monkeypatch.setattr(codec, "encode", lambda inst, info: encode(inst, np.zeros_like(info)))
+        assert [run_sweep(cfg).rows() for cfg in configs] == random_words
 
     def test_punctured_sweep_shifts_threshold(self):
         # rate-1/2 design punctured to rate 0.7: effective erasure is

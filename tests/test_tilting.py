@@ -159,8 +159,6 @@ class TestIdentityErasure:
             tilting.side_erasures("LDPC", 0.3)
         with pytest.raises(InvalidParameterError):
             DegreePair(bit=pair.bit, check=pair.check, family="LDPC", p=0.5)
-        with pytest.raises(InvalidParameterError):
-            de_residual(pair, np.linspace(0.1, 0.9, 5), family="LDPC")
 
 
 class TestEdgeTilt:
