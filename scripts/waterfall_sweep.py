@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Waterfall curves for the rate-1/2 self-matched family.
 
-Runs the channel sweep at two block lengths, with and without the
-high-rate outer code, and writes one CSV per configuration.  Plot the
-CSVs with any tool; columns are p, bit_rate, word_rate, unresolved_mean,
-outer_rescue_rate, trials.
+Runs the channel sweep at two block lengths with the high-rate outer
+code and writes one CSV per block length.  Each CSV holds both curves
+from the same trials: the full decoder (bit_rate, word_rate) and peeling
+alone (peel_bit_rate, peel_word_rate).  Plot the CSVs with any tool;
+columns are p, bit_rate, word_rate, unresolved_mean, outer_rescue_rate,
+trials, peel_bit_rate, peel_word_rate.
 """
 
 import argparse
@@ -20,27 +22,24 @@ def main():
     args = ap.parse_args()
 
     for k, m_outer in ((8192, 13), (65536, 16)):
-        for use_outer in (True, False):
-            cfg = SimConfig(
-                family="self-matched-ara",
-                p_start=0.40,
-                p_stop=0.49,
-                p_step=0.01,
-                k=k,
-                trials=args.trials,
-                seed=args.seed,
-                d_L=30,
-                d_R=30,
-                m_outer=m_outer,
-                design_p=0.5,
-                order=256,
-                use_outer=use_outer,
-            )
-            result = run_sweep(cfg)
-            tag = "outer" if use_outer else "raw"
-            path = f"{args.out_prefix}_k{k}_{tag}.csv"
-            emit_csv(result, path)
-            print(f"{path}: {result.wall_time:.1f}s")
+        cfg = SimConfig(
+            family="self-matched-ara",
+            p_start=0.40,
+            p_stop=0.49,
+            p_step=0.01,
+            k=k,
+            trials=args.trials,
+            seed=args.seed,
+            d_L=30,
+            d_R=30,
+            m_outer=m_outer,
+            design_p=0.5,
+            order=256,
+        )
+        result = run_sweep(cfg)
+        path = f"{args.out_prefix}_k{k}.csv"
+        emit_csv(result, path)
+        print(f"{path}: {result.wall_time:.1f}s")
 
 
 if __name__ == "__main__":

@@ -99,7 +99,6 @@ def cmd_simulate(args) -> int:
         design_p=args.design_p,
         b=args.b,
         order=args.M,
-        use_outer=not args.no_outer,
     )
     result = sim.run_sweep(cfg)
     sim.emit_csv(result, args.out)
@@ -137,7 +136,6 @@ def main(argv=None) -> int:
                        help="fix the code design at this erasure probability")
     p_sim.add_argument("--alpha", type=float, default=1.0)
     p_sim.add_argument("--outer-m", type=int, default=0)
-    p_sim.add_argument("--no-outer", action="store_true")
     p_sim.add_argument("--d-l", type=int, default=30)
     p_sim.add_argument("--d-r", type=int, default=30)
     p_sim.add_argument("--b", type=_parse_b, default=None)

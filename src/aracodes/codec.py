@@ -485,22 +485,19 @@ class DecodeResult:
     unresolved_after_peel: float  # fraction of punctured bits
     rescued_by_outer: bool
     info_bit_failures: int
-    info_len: int
+    peel_info_bit_failures: int  # info bits peeling alone left unresolved
 
 
-def decode(inst: CodeInstance, rcv: ReceivedWord, use_outer: bool = True) -> DecodeResult:
-    """Full decode: graph reduction, peeling, then the outer-code solve."""
+def decode(inst: CodeInstance, rcv: ReceivedWord) -> DecodeResult:
+    """Full decode: graph reduction, peeling, then the outer-code solve.
+
+    The outer stage writes nothing when it fails, so peeling alone succeeded
+    exactly when ``success and not rescued_by_outer``.
+    """
     rg = graph_reduce_instance(inst, rcv)
     peel_decode(rg)
-    unresolved = float(np.count_nonzero(~rg.known[rg.cls])) / max(inst.k, 1)
-    rescued = False
-    if not rg.known.all() and use_outer and inst.m_outer > 0:
-        if outer_decode(rg, inst):
-            rescued = True
-    success = bool(rg.known.all())
-
     v_known = rg.known[rg.cls]
-    v_vals = np.where(v_known, rg.vals[rg.cls] ^ rg.off, -1).astype(np.int8)
+    unresolved = float(np.count_nonzero(~v_known)) / max(inst.k, 1)
 
     # an info bit is lost when it was erased and its flanking states differ
     k, m = inst.k, inst.m_outer
@@ -511,14 +508,19 @@ def decode(inst: CodeInstance, rcv: ReceivedWord, use_outer: bool = True) -> Dec
     info_mask[inst.pilot_set] = False
     if m:
         info_mask[k - m :] = False
-    failures = int(np.count_nonzero(u_lost & info_mask))
+    peel_failures = int(np.count_nonzero(u_lost & info_mask))
+
+    peeled = bool(rg.known.all())
+    rescued = not peeled and m > 0 and outer_decode(rg, inst)
+    success = peeled or rescued
+    v_vals = np.where(rg.known[rg.cls], rg.vals[rg.cls] ^ rg.off, -1).astype(np.int8)
     return DecodeResult(
         success=success,
         v_vals=v_vals,
         unresolved_after_peel=unresolved,
-        rescued_by_outer=rescued and success,
-        info_bit_failures=failures,
-        info_len=inst.info_len,
+        rescued_by_outer=rescued,
+        info_bit_failures=0 if success else peel_failures,
+        peel_info_bit_failures=peel_failures,
     )
 
 

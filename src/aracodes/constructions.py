@@ -41,10 +41,9 @@ from .powerseries import (
     edge_from_node,
     monomial,
     reciprocal,
-    TILTED_SIDES,
     t_operator,
 )
-from .tilting import _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node
+from .tilting import _accumulated, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node
 
 EULER_GAMMA = 0.57721566490153286061
 #: Critical constant of the head-coefficient sign condition.
@@ -239,12 +238,10 @@ def validity_region(family: str, b: float) -> PInterval:
     """
     if not (0.0 < b < 1.0):
         raise InvalidParameterError("b must lie in (0, 1)")
-    sides = TILTED_SIDES.get(family)
-    if not sides:
-        raise InvalidParameterError(f"no validity region for family {family!r}")
+    bit, check = _accumulated(family)
     d = -C_STAR * _log_weight(b)  # positive, increasing in b
     lo = 1.0 / (1.0 + d)
-    return PInterval(lo if "bit" in sides else 0.0, 1.0 - lo if "check" in sides else 1.0)
+    return PInterval(lo if bit else 0.0, 1.0 - lo if check else 1.0)
 
 
 def _require_valid(family: str, p: float, b: float) -> None:

@@ -10,6 +10,7 @@ is order-independent and worker counts do not change results.
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing
 import os
 import time
@@ -42,7 +43,6 @@ class SimConfig:
     design_p: Optional[float] = None  # None: redesign the code at every sweep point
     b: Optional[float] = None
     order: int = 256
-    use_outer: bool = True
     allow_unproven: bool = True
     workers: int = 0  # 0: take the worker-count override from the environment
 
@@ -74,6 +74,8 @@ class SimResult:
     unresolved_means: list[float] = field(default_factory=list)
     outer_rescue_rates: list[float] = field(default_factory=list)
     trials_run: list[int] = field(default_factory=list)
+    peel_bit_rates: list[float] = field(default_factory=list)  # peeling alone, before the outer stage
+    peel_word_rates: list[float] = field(default_factory=list)
     skipped: list[bool] = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -86,6 +88,8 @@ class SimResult:
                 self.unresolved_means,
                 self.outer_rescue_rates,
                 self.trials_run,
+                self.peel_bit_rates,
+                self.peel_word_rates,
             )
         )
 
@@ -144,24 +148,24 @@ def _trial_batch(
     trial_hi: int,
     puncture_mask: Optional[np.ndarray],
 ) -> tuple[int, int, float, int, int]:
-    """Run trials [lo, hi); returns (word_fails, rescued, unresolved_sum, bit_fails, info_bits)."""
-    word_fails = rescued = bit_fails = info_bits = 0
+    """Run trials [lo, hi); returns (word_fails, rescued, unresolved_sum, bit_fails, peel_bit_fails)."""
+    word_fails = rescued = bit_fails = peel_bit_fails = 0
     unresolved_sum = 0.0
     for t in range(trial_lo, trial_hi):
         ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(p_index, t))
         rng = np.random.default_rng(ss)
         info = rng.integers(0, 2, inst.info_len, dtype=np.uint8)
         cw = codec.encode(inst, info)
-        # channel randomness must not depend on the info word or outer setting
+        # channel randomness must not depend on the info word
         chan_ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(p_index, t, 1))
         rcv = bec_channel(cw, p, chan_ss, puncture_mask)
-        res = codec.decode(inst, rcv, use_outer=cfg.use_outer)
+        res = codec.decode(inst, rcv)
         word_fails += not res.success
         rescued += res.rescued_by_outer
         unresolved_sum += res.unresolved_after_peel
         bit_fails += res.info_bit_failures
-        info_bits += res.info_len
-    return word_fails, rescued, unresolved_sum, bit_fails, info_bits
+        peel_bit_fails += res.peel_info_bit_failures
+    return word_fails, rescued, unresolved_sum, bit_fails, peel_bit_fails
 
 
 def _worker_count(cfg: SimConfig) -> int:
@@ -201,6 +205,7 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     columns = (
         result.p_values, result.bit_rates, result.word_rates,
         result.unresolved_means, result.outer_rescue_rates, result.trials_run,
+        result.peel_bit_rates, result.peel_word_rates,
     )
 
     # one pool serves every point; without one the trials run in-process
@@ -219,30 +224,23 @@ def run_sweep(cfg: SimConfig) -> SimResult:
             try:
                 inst, mask = fixed or _realize(cfg, p)
             except (ValidityError, codec.ConstructionError):
-                row = (p, float("nan"), float("nan"), float("nan"), float("nan"), 0)
+                row = (p, *[float("nan")] * 4, 0, float("nan"), float("nan"))
             else:
-                parts = run(
-                    _trial_batch,
-                    [inst] * n_parts,
-                    [cfg] * n_parts,
-                    [p] * n_parts,
-                    [p_index] * n_parts,
-                    bounds[:-1],
-                    bounds[1:],
-                    [mask] * n_parts,
-                )
-                word_fails, rescued, unresolved, bit_fails, info_bits = map(sum, zip(*parts))
-                n = cfg.trials
-                row = (p, bit_fails / max(info_bits, 1), word_fails / n, unresolved / n, rescued / n, n)
+                batch = functools.partial(_trial_batch, inst, cfg, p, p_index, puncture_mask=mask)
+                parts = run(batch, bounds[:-1], bounds[1:])
+                word_fails, rescued, unresolved, bit_fails, peel_bit_fails = map(sum, zip(*parts))
+                n, info_bits = cfg.trials, max(cfg.trials * inst.info_len, 1)
+                row = (p, bit_fails / info_bits, word_fails / n, unresolved / n, rescued / n, n,
+                       peel_bit_fails / info_bits, (word_fails + rescued) / n)
             for column, value in zip(columns, row):
                 column.append(value)
-            result.skipped.append(row[-1] == 0)
+            result.skipped.append(row[5] == 0)
 
     result.wall_time = time.time() - t_start
     return result
 
 
-CSV_HEADER = "p,bit_rate,word_rate,unresolved_mean,outer_rescue_rate,trials"
+CSV_HEADER = "p,bit_rate,word_rate,unresolved_mean,outer_rescue_rate,trials,peel_bit_rate,peel_word_rate"
 
 
 def emit_csv(result: SimResult, path: str) -> None:
@@ -252,7 +250,8 @@ def emit_csv(result: SimResult, path: str) -> None:
             fh.write(CSV_HEADER + "\n")
             for row in result.rows():
                 fh.write(
-                    f"{row[0]:.6g},{row[1]:.8g},{row[2]:.8g},{row[3]:.8g},{row[4]:.8g},{row[5]}\n"
+                    f"{row[0]:.6g},{row[1]:.8g},{row[2]:.8g},{row[3]:.8g},{row[4]:.8g},{row[5]},"
+                    f"{row[6]:.8g},{row[7]:.8g}\n"
                 )
     except OSError as exc:
         raise OSError(f"failed writing sweep CSV to {path!r}: {exc}") from exc
@@ -261,7 +260,7 @@ def emit_csv(result: SimResult, path: str) -> None:
 def parse_csv(path: str) -> list[tuple]:
     """Read back rows written by :func:`emit_csv` (numeric round trip).
 
-    Blank lines are skipped; any other row that is not six numbers raises
+    Blank lines are skipped; any other row that is not eight numbers raises
     ``ValueError`` naming its line.
     """
     rows = []
@@ -273,8 +272,9 @@ def parse_csv(path: str) -> list[tuple]:
             if not line.strip():
                 continue
             try:
-                p, bit, word, unresolved, rescued, trials = line.strip().split(",")
-                rows.append((float(p), float(bit), float(word), float(unresolved), float(rescued), int(trials)))
+                p, bit, word, unresolved, rescued, trials, peel_bit, peel_word = line.strip().split(",")
+                rows.append((float(p), float(bit), float(word), float(unresolved), float(rescued), int(trials),
+                             float(peel_bit), float(peel_word)))
             except ValueError as exc:
                 raise ValueError(f"malformed row at line {lineno} of {path!r}: {exc}") from None
     return rows

@@ -24,7 +24,6 @@ from .powerseries import (
     InvalidParameterError,
     NumericDomainError,
     PowerSeries,
-    DegenerateInputError,
     TILTED_SIDES,
     truncate_bit,
     truncate_check,
@@ -303,9 +302,7 @@ def design_rate(pair: DegreePair) -> float:
     directly).  An accumulated bit side transmits one bit per punctured bit,
     an accumulated check side one parity bit per check.
     """
-    ratio = pair.bit.mean / pair.check.mean  # checks per punctured bit
-    if not np.isfinite(ratio) or ratio <= 0.0:
-        raise DegenerateInputError("edge-count ratio is degenerate")
+    ratio = pair.bit.mean / pair.check.mean  # checks per punctured bit; DegreePair keeps it finite and positive
     bit, check = _accumulated(pair.family)
     return (1.0 - (not check) * ratio) / (bit + check * ratio)
 

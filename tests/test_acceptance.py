@@ -292,8 +292,8 @@ def test_criterion_09_codec_suite():
             z_vals=np.where(ez, -1, cw.z).astype(np.int8),
         )
         # the outer stage runs only after peeling stops, so peeling alone
-        # (use_outer=False) fails exactly when the outer code did not win
-        res = codec.decode(inst_d, rcv, use_outer=True)
+        # fails exactly when the outer code did not win
+        res = codec.decode(inst_d, rcv)
         fails_with += not res.success
         fails_without += not (res.success and not res.rescued_by_outer)
     assert fails_with < fails_without

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aracodes import cli
+from aracodes import cli, sim
 from aracodes.cli import main
 from aracodes.constructions import CATALOG, build_catalog_pair
 from aracodes.powerseries import DegenerateInputError, DegreePair, InvalidInputError, NumericDomainError
@@ -133,6 +133,17 @@ class TestSimulate:
         lines = open(out_path).read().strip().split("\n")
         assert lines[0].startswith("p,bit_rate")
         assert len(lines) == 3
+        assert all(len(row) == 8 for row in sim.parse_csv(str(out_path)))
+
+    def test_no_outer_flag_removed(self, capsys, tmp_path):
+        # one sweep reports peeling alone in its peel_* columns
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--family", "self-matched-ara", "--p-start", "0.35", "--p-stop", "0.4",
+                "--p-step", "0.05", "--k", "64", "--no-outer", "--out", str(tmp_path / "x.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-outer" in capsys.readouterr().err
 
     def test_non_ara_family_exit_code(self, capsys, tmp_path):
         out_path = tmp_path / "nsira.csv"

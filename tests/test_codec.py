@@ -779,11 +779,37 @@ class TestDecodeEndToEnd:
         rescued = 0
         for _ in range(60):
             rcv = erase(cw, rng, 0.45)
-            with_outer = decode(inst, rcv, use_outer=True)
-            without = decode(inst, rcv, use_outer=False)
-            assert with_outer.success >= without.success  # never harms
-            rescued += with_outer.success and not without.success
+            res = decode(inst, rcv)
+            assert res.success or not res.rescued_by_outer  # a rescue is a success
+            rescued += res.rescued_by_outer
         assert rescued > 0
+
+    def test_peel_figures_match_peeling_alone(self):
+        # the batch of test_outer_only_rescues, against graph reduction and
+        # peeling run directly, with the lost info bits counted one by one
+        pair = self_matched_ara(0.5, order=256)
+        inst = instantiate(pair, k=2048, d_L=30, d_R=30, m_outer=10, seed=4)
+        cw = encode(inst, np.zeros(inst.info_len, dtype=np.uint8))
+        info_positions = sorted(set(range(inst.k - inst.m_outer)) - set(inst.pilot_set.tolist()))
+        rng = np.random.default_rng(12)
+        rescued_with_losses = 0
+        for _ in range(60):
+            rcv = erase(cw, rng, 0.45)
+            res = decode(inst, rcv)
+            rg = graph_reduce_instance(inst, rcv)
+            peel_decode(rg)
+            peeled = bool(rg.known.all())
+            v_known = rg.known[rg.cls].tolist()
+            lost = sum(
+                rcv.u_vals[j] < 0 and not (v_known[j] and (j == 0 or v_known[j - 1]))
+                for j in info_positions
+            )
+            assert (res.success and not res.rescued_by_outer) == peeled
+            assert res.success >= peeled  # the outer stage never harms
+            assert res.peel_info_bit_failures == lost
+            assert res.info_bit_failures == (0 if res.success else res.peel_info_bit_failures)
+            rescued_with_losses += res.rescued_by_outer and lost > 0
+        assert rescued_with_losses > 0
 
 
 class TestSerialization:

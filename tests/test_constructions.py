@@ -436,6 +436,11 @@ class TestValidityRegion:
         assert nsira.lo == 0.0 and nsira.hi == pytest.approx(ara.hi)
         assert aldpc.hi == 1.0 and aldpc.lo == pytest.approx(ara.lo)
 
+    def test_unknown_family_tag(self):
+        # the same check and message as side_erasures, design_rate and complexity
+        with pytest.raises(InvalidParameterError, match="unknown family 'LDPC'"):
+            validity_region("LDPC", 0.95)
+
 
 class TestCatalog:
     def test_all_names_build(self):

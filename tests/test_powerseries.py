@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from aracodes.powerseries import (
     DegreePair,
     InvalidInputError,
     PowerSeries,
+    ValidityError,
     binomial_series,
     edge_from_node,
     node_from_edge,
@@ -248,6 +251,14 @@ class TestDegreePair:
     def test_check_side_allows_degree_one(self):
         dist = DegreeDistribution.from_node(PowerSeries([0, 0.5, 0.5]), allow_degree_one=True)
         assert dist.mean == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("mean", [0.0, np.inf])
+    def test_degenerate_edge_count_ratio(self, mean):
+        from aracodes.constructions import self_matched_ara
+
+        pair = self_matched_ara(0.5, order=64)
+        with pytest.raises(ValidityError, match="degenerate edge-count ratio"):
+            replace(pair, bit=replace(pair.bit, mean=mean))
 
 
 class TestNormalization:

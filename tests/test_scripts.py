@@ -44,20 +44,15 @@ def test_threshold_vs_truncation_rows(capsys, monkeypatch):
     assert float(rows[0][3]) < float(rows[1][3])  # plain chop climbs back with depth
 
 
-def test_waterfall_sweep_writes_four_csvs(tmp_path, monkeypatch, capsys):
+def test_waterfall_sweep_writes_one_csv_per_k(tmp_path, monkeypatch, capsys):
     prefix = tmp_path / "w"
     monkeypatch.setattr(
         "sys.argv", ["waterfall_sweep.py", "--trials", "1", "--out-prefix", str(prefix)]
     )
     load_script("waterfall_sweep").main()
     paths = sorted(tmp_path.glob("w_k*.csv"))
-    assert [p.name for p in paths] == [
-        "w_k65536_outer.csv",
-        "w_k65536_raw.csv",
-        "w_k8192_outer.csv",
-        "w_k8192_raw.csv",
-    ]
+    assert [p.name for p in paths] == ["w_k65536.csv", "w_k8192.csv"]
     for path in paths:
         rows = parse_csv(str(path))
         assert len(rows) == 10
-        assert all(row[5] == 1 for row in rows)
+        assert all(len(row) == 8 and row[5] == 1 for row in rows)

@@ -129,12 +129,28 @@ class TestSweep:
         assert np.all(np.diff(rates) >= -2 * sigma)
 
     def test_outer_dominance_on_matched_seeds(self):
-        with_outer = run_sweep(small_config(p_start=0.42, p_stop=0.46, p_step=0.02, trials=50, k=512))
-        without = run_sweep(
-            small_config(p_start=0.42, p_stop=0.46, p_step=0.02, trials=50, k=512, use_outer=False)
-        )
-        for w, wo in zip(with_outer.word_rates, without.word_rates):
+        res = run_sweep(small_config(p_start=0.42, p_stop=0.46, p_step=0.02, trials=50, k=512))
+        for w, wo in zip(res.word_rates, res.peel_word_rates):
             assert w <= wo + 1e-12
+
+    def test_peel_word_rate_counts_failures_and_rescues(self):
+        cfg = small_config(p_start=0.36, p_stop=0.46, p_step=0.05, trials=30, k=512)
+        res = run_sweep(cfg)
+        counts = lambda rates: [rate * cfg.trials for rate in rates]
+        for peel, fails, rescues in zip(
+            counts(res.peel_word_rates), counts(res.word_rates), counts(res.outer_rescue_rates)
+        ):
+            assert all(abs(count - round(count)) < 1e-9 for count in (peel, fails, rescues))
+            assert round(peel) == round(fails) + round(rescues)
+        assert sum(res.outer_rescue_rates) > 0.0  # the two curves differ here
+        for peel, final, rescues in zip(res.peel_bit_rates, res.bit_rates, res.outer_rescue_rates):
+            assert peel > final if rescues else peel >= final  # a rescued word had lost info bits
+
+    def test_peel_columns_equal_final_without_outer_code(self):
+        res = run_sweep(small_config(p_start=0.36, p_stop=0.46, p_step=0.05, trials=20, m_outer=0))
+        assert res.peel_bit_rates == res.bit_rates
+        assert res.peel_word_rates == res.word_rates
+        assert res.outer_rescue_rates == [0.0] * 3 and res.word_rates[-1] > 0.0
 
     def test_super_threshold_point_fails(self):
         res = run_sweep(small_config(p_start=0.58, p_stop=0.58, p_step=0.01, trials=30, k=512))
@@ -169,13 +185,13 @@ class TestSweep:
     def test_rows_independent_of_info_word(self, monkeypatch):
         # on the BEC a decoder that never guesses succeeds or fails on the
         # erasure pattern alone, so sending the all-zero word changes no row
-        configs = [small_config(trials=10, use_outer=use_outer) for use_outer in (True, False)]
-        random_words = [run_sweep(cfg).rows() for cfg in configs]
-        assert random_words[0] != random_words[1]  # the outer code rescues words here
-        assert all(row[2] > 0.0 and row[-1] == 10 for row in random_words[1])
+        cfg = small_config(trials=10)
+        random_words = run_sweep(cfg).rows()
+        assert any(row[4] > 0.0 for row in random_words)  # the outer code rescues words here
+        assert all(row[7] > 0.0 and row[5] == 10 for row in random_words)
         encode = codec.encode
         monkeypatch.setattr(codec, "encode", lambda inst, info: encode(inst, np.zeros_like(info)))
-        assert [run_sweep(cfg).rows() for cfg in configs] == random_words
+        assert run_sweep(cfg).rows() == random_words
 
     def test_punctured_sweep_shifts_threshold(self):
         # rate-1/2 design punctured to rate 0.7: effective erasure is
@@ -197,6 +213,7 @@ class TestSweep:
         assert serial.word_rates == parallel.word_rates
         assert serial.bit_rates == parallel.bit_rates
         assert serial.outer_rescue_rates == parallel.outer_rescue_rates
+        assert serial.rows() == parallel.rows()
 
 
 class TestCsv:
@@ -207,19 +224,21 @@ class TestCsv:
         rows = parse_csv(str(path))
         assert len(rows) == 3
         for row, expect in zip(rows, res.rows()):
-            assert row[0] == pytest.approx(expect[0])
-            assert row[2] == pytest.approx(expect[2])
+            assert row == pytest.approx(expect)
             assert row[5] == expect[5]
 
     def test_malformed_row_fails_loudly(self, tmp_path):
-        good = "0.3,0.001,0.01,0.5,0.02,40\n"
+        good = "0.3,0.001,0.01,0.5,0.02,40,0.002,0.03\n"
         path = tmp_path / "rows.csv"
         path.write_text(CSV_HEADER + "\n" + good + "\n" + good)
         assert len(parse_csv(str(path))) == 2  # blank lines are skipped
         path.write_text(CSV_HEADER + "\n" + good + "0.35,0.002,0.02\n" + good)
         with pytest.raises(ValueError, match="line 3"):
             parse_csv(str(path))
-        path.write_text(CSV_HEADER + "\n" + good + "0.35,x,0.02,0.5,0.02,40\n")
+        path.write_text(CSV_HEADER + "\n" + good + "0.35,x,0.02,0.5,0.02,40,0.002,0.03\n")
+        with pytest.raises(ValueError, match="line 3"):
+            parse_csv(str(path))
+        path.write_text(CSV_HEADER + "\n" + good + "0.35,0.002,0.02,0.5,0.02,40\n")  # no peel columns
         with pytest.raises(ValueError, match="line 3"):
             parse_csv(str(path))
 
