@@ -219,16 +219,19 @@ def instantiate(
     check_offsets = np.concatenate([[0], np.cumsum(check_degrees)]).astype(np.int64)
 
     outer_P = rng.integers(0, 2, size=(m_outer, k - m_outer), dtype=np.uint8)
-    for arr in (bit_degrees, check_degrees, edge_targets, check_offsets, pilot_set, outer_P):
-        arr.flags.writeable = False
-    return CodeInstance(
-        k=k,
+    arrays = dict(
         bit_degrees=bit_degrees,
         check_degrees=check_degrees.astype(np.int64),
         edge_targets=edge_targets.astype(np.int64),
         check_offsets=check_offsets,
         pilot_set=pilot_set.astype(np.int64),
         outer_P=outer_P,
+    )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return CodeInstance(
+        k=k,
+        **arrays,
         family=pair.family,
         seed=seed,
         d_L=d_L,

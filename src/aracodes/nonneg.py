@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
+import scipy  # scipy.integrate loads lazily, on the first Pólya integral
 
 from .constructions import (
     C_STAR,
@@ -105,7 +105,7 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
     symmetric = sym_err <= 1e-9 * scale
 
     # h is close to h(0) on the sliver [0, X_MIN] the grid leaves out
-    integral = float(simpson(h, x=xs)) + X_MIN * float(h[0])
+    integral = float(scipy.integrate.simpson(h, x=xs)) + X_MIN * float(h[0])
     integral_ok = integral >= -INTEGRAL_TOL * scale
 
     d2 = h[:-2] - 2.0 * h[1:-1] + h[2:]

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +122,30 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "pass"
+
+
+def test_scipy_integrate_loads_at_first_verify():
+    # A fresh interpreter: the import brings in scipy but leaves
+    # scipy.integrate to the first Polya integral of a verify command.
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from aracodes import cli
+        state = {"scipy": "scipy" in sys.modules, "integrate_at_import": "scipy.integrate" in sys.modules}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            state["code"] = cli.main(["verify", "--family", "self-matched-ara", "--p", "0.5", "--M", "64"])
+        state["verdict"] = json.loads(out.getvalue())["verdict"]
+        state["integrate_after_verify"] = "scipy.integrate" in sys.modules
+        print(json.dumps(state))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == {
+        "scipy": True, "integrate_at_import": False, "code": 0, "verdict": "pass",
+        "integrate_after_verify": True,
+    }
 
 
 class TestSimulate:

@@ -398,6 +398,16 @@ class TestInstantiate:
         c = instantiate(pair, k=512, d_L=30, d_R=30, m_outer=6, seed=10)
         assert not np.array_equal(a.edge_targets, c.edge_targets)
 
+    @pytest.mark.parametrize(
+        "name", ["bit_degrees", "check_degrees", "edge_targets", "check_offsets", "pilot_set", "outer_P"]
+    )
+    def test_arrays_read_only(self, name):
+        inst = instantiate(self_matched_ara(0.5, order=128), k=512, d_L=24, d_R=24, m_outer=6, seed=9)
+        arr = getattr(inst, name)
+        assert arr.size > 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
     def test_pilot_count_tracks_tail_mass(self):
         pair = self_matched_ara(0.5, order=256)
         inst = instantiate(pair, k=8192, d_L=64, d_R=64, seed=3)
