@@ -56,8 +56,7 @@ def cmd_de(args) -> int:
     pair = _build_pair(args)
     xs = np.linspace(0.0, 1.0, args.grid + 1)[1:]
     resid = tilting.de_residual(pair, xs)
-    for x, r in zip(xs, resid):
-        print(f"{x:.6f},{r:.6e}")
+    print("\n".join(f"{x:.6f},{r:.6e}" for x, r in zip(xs.tolist(), resid.tolist())))
     stab = tilting.stability(pair)
     chi = tilting.complexity(pair)
     trunc = tilting.truncate_pair(pair, args.M, args.M)

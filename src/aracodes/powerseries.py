@@ -75,13 +75,21 @@ class PowerSeries:
         An array result is updated in place and a scalar one runs on Python
         floats: the same operations in the same order as
         ``result = result * x + c``, without a temporary array per step.
+        Horner starts at the highest coefficient that is not +0.0 (at c_0
+        when there is none): the +0.0 coefficients above it would leave the
+        result at +0.0, and the first kept step still computes 0 * x, so
+        every x (negative, inf and nan too) gives the same bits as a pass
+        over all of them.  A -0.0 coefficient is kept, since it can flip
+        the sign of a zero result.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             x, result = float(x), 0.0
         else:
             result = np.zeros_like(x)
-        for c in self.coeffs[::-1].tolist():
+        kept = np.flatnonzero(self.coeffs.view(np.int64))  # indices of the coefficients that are not +0.0
+        top = int(kept[-1]) if kept.size else 0
+        for c in self.coeffs[top::-1].tolist():
             result *= x
             result += c
         return result

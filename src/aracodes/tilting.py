@@ -224,7 +224,7 @@ def de_residual(pair: DegreePair, x, p: Optional[float] = None):
     return float(out) if out.ndim == 0 else out
 
 
-def _residual_fn(pair: DegreePair, x: np.ndarray, p: float) -> Callable[[float], np.ndarray]:
+def _residual_fn(pair: DegreePair, x: np.ndarray, p: float) -> Callable[..., np.ndarray]:
     """The family's DE residual at fixed x, as a function of the erasure.
 
     A side's raw values are evaluated only where their argument moves with
@@ -234,20 +234,25 @@ def _residual_fn(pair: DegreePair, x: np.ndarray, p: float) -> Callable[[float],
     only when the check side is tilted, and is otherwise evaluated once too.
     Which sides sit at their identity erasure depends on the family alone,
     so it is read at p, the first erasure probed.
+
+    The residual takes an index ``at`` into x (default: all of x).  The
+    check side is still tilted on all of x, domain check included, but the
+    bit side is evaluated at x[at] alone, on Python floats when it is a
+    series, so the value is the same bits as that entry of the full residual.
     """
     p_bit, p_check = side_erasures(pair.family, p)
     check = _raw_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check", p_check)
     bit_fns = (pair.bit_node_fn(), pair.bit_edge_fn())
 
-    def bit_at(q_bit: float, q_check: float) -> tuple:
-        return _raw_values(*bit_fns, 1.0 - _tilt_values(*check, "check", q_check), "bit", q_bit)
+    def bit_at(q_bit: float, q_check: float, at) -> tuple:
+        return _raw_values(*bit_fns, (1.0 - _tilt_values(*check, "check", q_check))[at], "bit", q_bit)
 
-    bit = bit_at(p_bit, p_check) if p_check == 0.0 else None
+    bit = bit_at(p_bit, p_check, ...) if p_check == 0.0 else None
 
-    def residual(q: float) -> np.ndarray:
+    def residual(q: float, at=...) -> np.ndarray:
         q_bit, q_check = side_erasures(pair.family, q)
-        raw = bit_at(q_bit, q_check) if bit is None else bit
-        return _tilt_values(*raw, "bit", q_bit) - x
+        raw = bit_at(q_bit, q_check, at) if bit is None else tuple(v[at] for v in bit)
+        return _tilt_values(*raw, "bit", q_bit) - x[at]
 
     return residual
 
@@ -406,13 +411,29 @@ def threshold_search(pair: DegreePair, grid_n: int = 1000) -> float:
     non-positive; ties break toward the smaller p.  Returns 0.0 when
     even the smallest probed p admits a fixed point in (0, 1].  Series whose
     argument does not move with p are evaluated once per search.
+
+    A step passes only when every grid point does, so one failing point
+    decides it.  Each step first tests the grid point that was worst in the
+    last step to fail on the full grid, and runs the full grid only when
+    that point passes.  The one-point value is the same bits as its grid
+    entry, so every step decides as a full-grid step would; the bit side's
+    domain is checked at the points that are evaluated.
     """
     xs = np.linspace(0.0, 1.0, grid_n + 1)[1:]
     lo, hi = 1e-4, 1.0 - 1e-4
     residual = _residual_fn(pair, xs, lo)
+    worst = None  # grid index of the largest residual in the last full-grid failure
 
     def passes(p: float) -> bool:
-        return bool(np.max(residual(p)) <= 1e-9)
+        nonlocal worst
+        if worst is not None and residual(p, worst) > 1e-9:
+            return False
+        values = residual(p)
+        at = int(np.argmax(values))  # the first nan, if there is one
+        if values[at] <= 1e-9:
+            return True
+        worst = at
+        return False
 
     if not passes(lo):
         return 0.0

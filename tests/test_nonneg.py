@@ -6,8 +6,6 @@ from scipy.optimize import brentq
 from aracodes.constructions import C_STAR, bit_regular_ara, nsira_check_regular, solve_b
 from aracodes.nonneg import (
     PolyaCandidate,
-    alt_fixed_point_fn,
-    alt_self_matched_probe,
     first_coefficients_min,
     log_ratio_series,
     polya_verify,
@@ -19,6 +17,8 @@ from aracodes.nonneg import (
     verify_family,
 )
 from aracodes.powerseries import InvalidParameterError, t_operator
+
+from oracles import alt_fixed_point_fn, alt_self_matched_probe
 
 GRID = 2048  # module tests run on a lighter grid than the acceptance default
 

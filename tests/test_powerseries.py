@@ -20,6 +20,8 @@ from aracodes.powerseries import (
     truncate_check,
 )
 
+from oracles import full_horner
+
 
 class TestEval:
     def test_zero_input(self):
@@ -40,14 +42,6 @@ class TestEval:
         xs = np.linspace(0, 1, 11)
         assert np.allclose(s(xs), xs)
 
-    @staticmethod
-    def plain_horner(coeffs, x):
-        x = np.asarray(x, dtype=float)
-        result = np.zeros_like(x)
-        for c in coeffs[::-1]:
-            result = result * x + c
-        return result
-
     SERIES = PowerSeries(np.random.default_rng(7).random(513) / 256.0)
     INPUTS = [
         0.37,
@@ -59,7 +53,7 @@ class TestEval:
     @pytest.mark.parametrize("x", INPUTS, ids=["float", "0-d", "1-d", "2-d"])
     def test_in_place_horner_bit_identical(self, x):
         got = self.SERIES(x)
-        want = self.plain_horner(self.SERIES.coeffs, x)
+        want = full_horner(self.SERIES.coeffs, x)
         assert np.shape(got) == np.shape(x)
         assert np.array_equal(got, want)
 
@@ -73,6 +67,27 @@ class TestEval:
         out = self.SERIES(x)
         assert np.array_equal(x, before)
         assert out is not x
+
+    # High-order +0.0 coefficients are skipped; -0.0 ones are kept.
+    SPARSE = {
+        "high-zeros": PowerSeries([0.25, -1.5, 3.0, 0.0, 0.0, 0.0]),
+        "cubic-513": PowerSeries(np.eye(513)[3]),
+        "all-zero": PowerSeries(np.zeros(6)),
+        "constant": PowerSeries([0.0]),
+        "negative-zeros": PowerSeries([-0.0, -0.0, 0.0]),
+        "negative-top": PowerSeries([1.0, 0.0, -2.0, -0.0, 0.0]),
+    }
+    SPECIAL_X = [0.0, 0.5, 1.0, -0.5, np.inf, np.nan]
+
+    @pytest.mark.parametrize("name", sorted(SPARSE))
+    @pytest.mark.parametrize("x", SPECIAL_X + [np.array(SPECIAL_X)], ids=[*map(str, SPECIAL_X), "array"])
+    def test_top_coefficient_start_bit_identical(self, name, x):
+        series = self.SPARSE[name]
+        with np.errstate(invalid="ignore"):  # 0 * inf is nan on both sides
+            got = np.asarray(series(x), dtype=float)
+            want = np.asarray(full_horner(series.coeffs, x), dtype=float)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros and nan bits too
 
 
 class TestRingOps:

@@ -409,24 +409,45 @@ class TestThresholdSearch:
                 hi = mid
         return lo
 
+    @staticmethod
+    def catalog_pairs(order, exact):
+        """The nine families at their representative p: with their exact
+        evaluators, or truncated at ``order`` as ``de`` searches them."""
+        pairs = [cons.build_catalog_pair(name, entry.representative_p, order=order)
+                 for name, entry in sorted(cons.CATALOG.items())]
+        return pairs if exact else [truncate_pair(pair, order, order) for pair in pairs]
+
     def test_matches_reference_bisection(self):
-        pairs = [
-            truncate_pair(cons.build_catalog_pair(name, entry.representative_p, order=64), 64, 64)
-            for name, entry in sorted(cons.CATALOG.items())
-        ]
+        pairs = self.catalog_pairs(64, exact=False)
         pairs.append(chop_pair(cons.self_matched_ara(0.5, order=256), 16))
         stars = [threshold_search(pair) for pair in pairs]
         assert stars == [self.reference_search(pair) for pair in pairs]
         assert all(0.0 < star < 1.0 - 1e-4 for star in stars)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["series", "exact"])
+    def test_matches_reference_bisection_at_512(self, exact):
+        pairs = self.catalog_pairs(512, exact)
+        assert [threshold_search(pair) for pair in pairs] == [self.reference_search(pair) for pair in pairs]
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["series", "exact"])
+    def test_one_point_residual_is_its_grid_entry(self, exact):
+        xs = np.linspace(0.0, 1.0, 1001)[1:]
+        for pair in self.catalog_pairs(512, exact):
+            for q in (0.05, pair.p, 0.95):
+                residual = tilting._residual_fn(pair, xs, q)
+                full = residual(q)
+                for at in [*range(0, len(xs), 37), int(np.argmax(full))]:
+                    assert np.float64(residual(q, at)).tobytes() == full[at].tobytes()
+
     @staticmethod
     def counted_calls(monkeypatch, pair):
-        """PowerSeries evaluations in one threshold search, keyed by series."""
+        """PowerSeries evaluations in one threshold search, keyed by series,
+        as [array calls, scalar calls]."""
         counts = {}
         call = PowerSeries.__call__
 
         def counting(series, x):
-            counts[id(series)] = counts.get(id(series), 0) + 1
+            counts.setdefault(id(series), [0, 0])[np.ndim(x) == 0] += 1
             return call(series, x)
 
         monkeypatch.setattr(PowerSeries, "__call__", counting)
@@ -445,18 +466,22 @@ class TestThresholdSearch:
         pair = truncate_pair(cons.self_matched_aldpc(0.5, order=64), 64, 64)
         counts = self.counted_calls(monkeypatch, pair)
         series = (pair.check.edge, pair.bit.node, pair.bit.edge)
-        assert counts == {id(s): 1 for s in series}
+        assert counts == {id(s): [1, 0] for s in series}
 
     def test_ara_evaluates_check_side_once(self, monkeypatch):
+        # The end probes lo and hi run on the full grid; hi fails, so each
+        # bisection step after them first evaluates the bit side at one
+        # point, and runs the full grid only when that point passes.
         pair = truncate_pair(cons.self_matched_ara(0.5, order=64), 64, 64)
         counts = self.counted_calls(monkeypatch, pair)
         probes = self.bisection_probes()
-        assert counts == {
-            id(pair.check.node): 1,
-            id(pair.check.edge): 1,
-            id(pair.bit.node): probes,
-            id(pair.bit.edge): probes,
-        }
+        assert counts[id(pair.check.node)] == [1, 0]
+        assert counts[id(pair.check.edge)] == [1, 0]
+        assert set(counts) == {id(s) for s in (pair.check.node, pair.check.edge, pair.bit.node, pair.bit.edge)}
+        for series in (pair.bit.node, pair.bit.edge):
+            full, scalar = counts[id(series)]
+            assert full < probes
+            assert scalar == probes - 2
 
     def test_tilt_domain_checked_at_every_p(self):
         # A check node above 1 / p makes the check tilt's denominator 1 - p R
