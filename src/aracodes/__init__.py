@@ -11,20 +11,14 @@ from .powerseries import (
     truncate_check,
 )
 from .tilting import (
-    DEState,
-    TiltedPair,
     chop_pair,
     complexity,
-    de_iterate,
     de_residual,
     design_rate,
-    puncture,
     stability,
     symmetry_swap,
     threshold_search,
     tilt,
-    tilt_edge,
-    tilt_node,
     truncate_pair,
     untilt,
     untilt_node,
@@ -32,7 +26,6 @@ from .tilting import (
 from .constructions import (
     CATALOG,
     build_catalog_pair,
-    cmk_table,
     lambert_w0,
     matched_image_series,
     solve_b,
@@ -40,4 +33,14 @@ from .constructions import (
     validity_region,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # power series and degree distributions
+    "DegreeDistribution", "DegreePair", "PowerSeries", "edge_from_node", "node_from_edge",
+    "t_operator", "truncate_bit", "truncate_check",
+    # graph reduction and density evolution
+    "chop_pair", "complexity", "de_residual", "design_rate", "stability", "symmetry_swap",
+    "threshold_search", "tilt", "truncate_pair", "untilt", "untilt_node",
+    # constructions
+    "CATALOG", "build_catalog_pair", "lambert_w0", "matched_image_series", "solve_b",
+    "solve_check_from_bit", "validity_region",
+]

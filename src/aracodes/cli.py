@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -105,7 +106,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="aracodes")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -141,8 +144,11 @@ def main(argv=None) -> int:
     p_sim.add_argument("--M", type=int, default=256)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidParameterError, InvalidInputError, DegenerateInputError, ValidityError,

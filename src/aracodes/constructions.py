@@ -5,8 +5,7 @@ whose design rate equals 1 - p:
 
 * self-matched families built from the rational fixed point
   f(x) = (1-b)x / (1-bx) of the matching transform, with tails decaying
-  like b^k (the equivalent composition-count recursion is kept for
-  cross-checking);
+  like b^k;
 * bit-regular families with degree-3 bits, whose matched side comes from
   an algebraic cubic (series from the generic solver, evaluators in
   closed form), and their check-regular bit/check swap images;
@@ -25,7 +24,6 @@ family tag, options, representative p and verification route.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +43,6 @@ from .powerseries import (
 )
 from .tilting import _accumulated, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node
 
-EULER_GAMMA = 0.57721566490153286061
 #: Critical constant of the head-coefficient sign condition.
 C_STAR = (13.0 - np.sqrt(61.0)) / 9.0
 
@@ -98,49 +95,8 @@ def solve_b(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# composition-count table and self-matched coefficients
+# self-matched scale constants
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CmkTable:
-    """Triangular table of ordered-composition sums.
-
-    Entry (m, k) is the sum of 1/(i_1 ... i_m) over ordered tuples of
-    integers >= 2 summing to k; it is the coefficient extractor for the
-    m-th power of x^2/2 + x^3/3 + x^4/4 + ...  Row 1 is 1/k and entries
-    vanish for k < 2m.
-    """
-
-    values: np.ndarray  # shape (k_max // 2 + 1, k_max + 1)
-    k_max: int
-
-    def c(self, m: int, k: int) -> float:
-        if m < 1 or k < 2 * m or k > self.k_max:
-            return 0.0
-        return float(self.values[m, k])
-
-
-@lru_cache(maxsize=8)
-def _cmk_values(k_max: int) -> np.ndarray:
-    m_max = k_max // 2
-    table = np.zeros((m_max + 1, k_max + 1))
-    ks = np.arange(2, k_max + 1)
-    table[1, 2:] = 1.0 / ks
-    for m in range(2, m_max + 1):
-        prefix = np.cumsum(table[m - 1])
-        lo = 2 * (m - 1)
-        ks = np.arange(2 * m, k_max + 1)
-        # sum of row m-1 over [2(m-1), k-2], via prefix sums
-        table[m, 2 * m:] = m / ks * (prefix[ks - 2] - prefix[lo - 1])
-    table.flags.writeable = False
-    return table
-
-
-def cmk_table(k_max: int) -> CmkTable:
-    if k_max < 2:
-        raise InvalidParameterError("k_max must be at least 2")
-    return CmkTable(values=_cmk_values(k_max), k_max=k_max)
-
 
 def _log_weight(b: float) -> float:
     """b + ln(1-b), negative on (0, 1)."""
@@ -149,69 +105,6 @@ def _log_weight(b: float) -> float:
 
 def _alpha(p: float, b: float) -> float:
     return -(1.0 - p) / (p * _log_weight(b))
-
-
-def self_matched_coeffs_recursion(p: float, b: float, order: int) -> np.ndarray:
-    """Node coefficients of the self-matched bit side via the table recursion.
-
-    Exact in exact arithmetic, but the alternating sum cancels like
-    b^(-2k) in floating point, so past k of roughly 150 the values
-    degrade; untilting the ratio side's series (same-scale b^k terms only)
-    is the stable production route and the two are cross-checked in tests.
-    """
-    table = _cmk_values(max(order, 2))
-    a = _alpha(p, b)
-    m_max = table.shape[0] - 1
-    signs = (-a) ** np.arange(m_max)  # (-1)^{m-1} a^{m-1} for m = 1..m_max
-    sums = signs @ table[1:, : order + 1]
-    k = np.arange(order + 1)
-    coeffs = a / (1.0 - p) * np.power(b, k) * sums
-    coeffs[:2] = 0.0
-    return coeffs
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Ingredients of the large-degree coefficient approximation."""
-
-    p: float
-    b: float
-    alpha: float
-    d: float
-    gamma: float = EULER_GAMMA
-
-    @classmethod
-    def from_pb(cls, p: float, b: float) -> "AsymptoticParams":
-        a = _alpha(p, b)
-        if not (a > 0.0):
-            raise InvalidParameterError("alpha must be positive for p, b in (0, 1)")
-        return cls(p=p, b=b, alpha=a, d=a / (1.0 - a))
-
-
-def asymptotic_coeffs(k: int, params: AsymptoticParams, which: str = "L") -> float:
-    """Large-degree estimate of a self-matched coefficient.
-
-    The node-side estimate decays like b^k / (k ln^2 k); the edge side
-    carries an extra factor k (1-b) / (b^2 p^2).  The check side is the
-    bit side with p replaced by 1 - p.
-    """
-    if k < 2:
-        raise InvalidParameterError("asymptotics need k >= 2")
-    p, b = params.p, params.b
-    if which in ("R", "rho"):
-        params = AsymptoticParams.from_pb(1.0 - p, b)
-        pp = 1.0 - p
-    else:
-        pp = p
-    a, d, g = params.alpha, params.d, params.gamma
-    lead = 1.0 / ((1.0 - a) * (1.0 - pp)) * b ** k / k
-    bracket = 1.0 / (1.0 + d * np.log(k)) ** 2 * (1.0 - 2.0 * g / (1.0 + d * np.log(k)))
-    node_value = lead * bracket
-    if which in ("L", "R"):
-        return float(node_value)
-    if which in ("lambda", "rho"):
-        return float((1.0 - b) * k / (b ** 2 * pp ** 2) * node_value)
-    raise InvalidParameterError("which must be 'L', 'R', 'lambda' or 'rho'")
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ class PolyaCandidate:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    strip_count: int = 0
     head: tuple[float, ...] = ()
     label: str = ""
 
@@ -77,10 +76,6 @@ class ConvexityReport:
     head_min: float
     symmetry_error: float
     min_location: float
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityReport:
@@ -152,7 +147,7 @@ def strip_head(fn: Callable, n_terms: int, head: Sequence[float], label: str = "
     the function is wrapped unchanged.
     """
     if n_terms == 0:
-        return PolyaCandidate(fn=fn, strip_count=0, head=(), label=label)
+        return PolyaCandidate(fn=fn, label=label)
     head = tuple(float(v) for v in head)
     if len(head) != n_terms:
         raise InvalidParameterError(f"expected {n_terms} head coefficients, got {len(head)}")
@@ -164,7 +159,7 @@ def strip_head(fn: Callable, n_terms: int, head: Sequence[float], label: str = "
             total = total - coeff * z ** n
         return total / z ** (n_terms + 2)
 
-    return PolyaCandidate(fn=stripped, strip_count=n_terms, head=head, label=label)
+    return PolyaCandidate(fn=stripped, head=head, label=label)
 
 
 # ---------------------------------------------------------------------------

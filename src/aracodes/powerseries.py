@@ -187,15 +187,6 @@ def reciprocal(f: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-def binomial_series(alpha: float, order: int) -> PowerSeries:
-    """Series of (1 - x)^alpha."""
-    c = np.zeros(order + 1)
-    c[0] = 1.0
-    for k in range(1, order + 1):
-        c[k] = -c[k - 1] * (alpha - k + 1) / k
-    return PowerSeries(c)
-
-
 # ---------------------------------------------------------------------------
 # degree-distribution layer
 # ---------------------------------------------------------------------------
@@ -215,11 +206,11 @@ def edge_from_node(node: PowerSeries, exact_mean: Optional[float] = None) -> Pow
     return PowerSeries(weighted[1:] / mean)
 
 
-def node_from_edge(edge: PowerSeries, exact_integral: Optional[float] = None) -> PowerSeries:
+def node_from_edge(edge: PowerSeries) -> PowerSeries:
     """Node-perspective series from an edge-perspective one (inverse map)."""
     k = np.arange(1, len(edge.coeffs) + 1)
     weighted = edge.coeffs / k
-    total = float(weighted.sum()) if exact_integral is None else float(exact_integral)
+    total = float(weighted.sum())
     if total <= 0.0:
         raise DegenerateInputError("edge distribution has no mass")
     return PowerSeries(np.concatenate([[0.0], weighted / total]))
@@ -334,22 +325,12 @@ class DegreeDistribution:
         return cls(node=node, edge=edge_from_node(node, mean), mean=mean)
 
     @classmethod
-    def from_edge(
-        cls,
-        edge: PowerSeries,
-        exact_integral: Optional[float] = None,
-        allow_degree_one: bool = False,
-    ) -> "DegreeDistribution":
-        if not allow_degree_one and abs(edge.coeffs[0]) > 1e-12:
-            raise InvalidInputError("degree-1 edge mass is not allowed on this side")
+    def from_edge(cls, edge: PowerSeries) -> "DegreeDistribution":
+        """Both perspectives of a non-negative edge series; degree-1 mass is allowed."""
         if np.any(edge.coeffs < -1e-9):
             raise ValidityError("edge distribution has a negative coefficient")
-        node = node_from_edge(edge, exact_integral)
-        integral = (
-            float(exact_integral)
-            if exact_integral is not None
-            else float((edge.coeffs / np.arange(1, len(edge.coeffs) + 1)).sum())
-        )
+        node = node_from_edge(edge)
+        integral = float((edge.coeffs / np.arange(1, len(edge.coeffs) + 1)).sum())
         return cls(node=node, edge=edge, mean=1.0 / integral)
 
     @property

@@ -13,7 +13,6 @@ symmetry swap, and a truncation-aware threshold search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,17 +69,8 @@ def untilt(node, edge, side: str, p: float):
     return node / den, None if edge is None else edge / (den * den)
 
 
-def tilt_node(node: PowerSeries, side: str, p: float) -> PowerSeries:
-    """Graph-reduced node distribution.
-
-    Check side: (1-p) R / (1 - p R); bit side: p L / (1 - (1-p) L).
-    With p = 0 the check side is untouched, with p = 1 the bit side is.
-    """
-    return tilt(node, None, side, p)[0]
-
-
 def untilt_node(tilde: PowerSeries, side: str, p: float) -> PowerSeries:
-    """Inverse of :func:`tilt_node`: recovers the pre-reduction node d.d."""
+    """Inverse of the node half of :func:`tilt`: recovers the pre-reduction node d.d."""
     a, w = _weights(side, p)
     if abs(a + w * float(tilde.coeffs[0])) < 1e-300:
         raise NumericDomainError("untilt denominator vanishes at the origin")
@@ -104,11 +94,6 @@ def _tilt_values(node: Optional[np.ndarray], edge: np.ndarray, side: str, p: flo
     if np.any(1.0 - w * node <= 0.0):
         raise NumericDomainError("tilt denominator not positive on [0, 1]")
     return tilt(node, edge, side, p)[1]
-
-
-def _tilted_edge_values(node_fn: Callable, edge_fn: Callable, x, side: str, p: float) -> np.ndarray:
-    """Tilted edge function of one side at real arguments x."""
-    return _tilt_values(*_raw_values(node_fn, edge_fn, x, side, p), side, p)
 
 
 def _untilt_fns(node_fn: Callable, edge_fn: Callable, side: str, p: float) -> tuple[Callable, Callable]:
@@ -140,77 +125,9 @@ def side_erasures(family: str, p: float) -> tuple[float, float]:
     return p if bit else 1.0, p if check else 0.0
 
 
-@dataclass(frozen=True)
-class TiltedPair:
-    """Edge-perspective pair after graph reduction, with evaluators and series."""
-
-    lam_series: PowerSeries
-    rho_series: PowerSeries
-    lam_fn: Callable
-    rho_fn: Callable
-    p: float
-
-
-def tilt_edge(pair: DegreePair, p: Optional[float] = None) -> TiltedPair:
-    """Family-specific graph reduction of an edge-perspective pair.
-
-    ARA tilts both sides, NSIRA only the check side, ALDPC only the bit
-    side.
-    """
-    p = _check_p(pair.p if p is None else p)
-    M = max(pair.bit.order, pair.check.order)
-    p_bit, p_check = side_erasures(pair.family, p)
-    return TiltedPair(
-        tilt(pair.bit.node, pair.bit.edge.truncated(M), "bit", p_bit)[1].truncated(M),
-        tilt(pair.check.node, pair.check.edge.truncated(M), "check", p_check)[1].truncated(M),
-        partial(_tilted_edge_values, pair.bit_node_fn(), pair.bit_edge_fn(), side="bit", p=p_bit),
-        partial(_tilted_edge_values, pair.check_node_fn(), pair.check_edge_fn(), side="check", p=p_check),
-        p,
-    )
-
-
 # ---------------------------------------------------------------------------
 # density evolution
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DEState:
-    """The six erasure-message probabilities of one decoder iteration."""
-
-    x0: float = 1.0
-    x1: float = 1.0
-    x2: float = 1.0
-    x3: float = 1.0
-    x4: float = 1.0
-    x5: float = 1.0
-    iteration: int = 0
-
-    @classmethod
-    def uniform(cls, value: float) -> "DEState":
-        v = float(value)
-        return cls(v, v, v, v, v, v, 0)
-
-
-def de_iterate(state: DEState, pair: DegreePair, p: float) -> DEState:
-    """One sweep of the six-message decoder recursion on the full graph.
-
-    Messages go down through the layers and back up; this is the exact
-    per-layer schedule, kept separate from the collapsed fixed-point
-    residual so the two can cross-validate each other.
-    """
-    L = pair.bit_node_fn()
-    lam = pair.bit_edge_fn()
-    R = pair.check_node_fn()
-    rho = pair.check_edge_fn()
-    x0 = 1.0 - (1.0 - state.x5) * (1.0 - p)
-    x1 = x0 * x0 * float(lam(state.x4))
-    x2 = 1.0 - float(R(1.0 - x1)) * (1.0 - state.x3)
-    x3 = p * x2
-    x4 = 1.0 - (1.0 - x3) ** 2 * float(rho(1.0 - x1))
-    x5 = x0 * float(L(x4))
-    clip = lambda v: min(max(v, 0.0), 1.0)
-    return DEState(clip(x0), clip(x1), clip(x2), clip(x3), clip(x4), clip(x5), state.iteration + 1)
-
 
 def de_residual(pair: DegreePair, x, p: Optional[float] = None):
     """Fixed-point residual LHS(x) - x of the family's DE equation.
@@ -357,20 +274,6 @@ def symmetry_swap(pair: DegreePair) -> DegreePair:
     )
 
 
-@dataclass(frozen=True)
-class PunctureResult:
-    p_eff: float
-    complexity_scale: float
-
-
-def puncture(p: float, alpha: float) -> PunctureResult:
-    """Effective channel after transmitting only a fraction alpha of bits."""
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParameterError("alpha must lie in (0, 1]")
-    _check_p(p)
-    return PunctureResult(1.0 - alpha * (1.0 - p), 1.0 / alpha)
-
-
 def truncate_pair(pair: DegreePair, max_bit: int, max_check: int) -> DegreePair:
     """Finite-maximum-degree version of a pair.
 
@@ -379,7 +282,7 @@ def truncate_pair(pair: DegreePair, max_bit: int, max_check: int) -> DegreePair:
     sub-stochastic (those nodes become pilots in a finite realization).
     """
     rho_hat = truncate_check(pair.check.edge, max_check)
-    check = DegreeDistribution.from_edge(rho_hat, allow_degree_one=True)
+    check = DegreeDistribution.from_edge(rho_hat)
     lam_hat, _pilot = truncate_bit(pair.bit.edge, max_bit)
     node_hat = pair.bit.node.truncated(max_bit)
     bit = DegreeDistribution(node=node_hat, edge=lam_hat, mean=pair.bit.mean)

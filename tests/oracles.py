@@ -1,16 +1,31 @@
-"""Test-only reference code: a full-length Horner evaluation, an exhaustive
-codeword check, text forms of codec objects, and the square-root fixed-point
-family (a documented negative example)."""
+"""Test-only reference code.
+
+Each piece here is a second route to something the package computes, or a
+formula that only the tests read:
+
+* a full-length Horner evaluation, an exhaustive codeword check, and text
+  forms of codec objects;
+* the tilted edge functions of a pair, built through ``tilt`` on the
+  pair's evaluators and series;
+* the six-message decoder recursion, which cross-checks ``de_residual``;
+* the composition-count table and the self-matched coefficient recursion
+  built on it (criterion 07);
+* the large-degree coefficient asymptotics (criterion 08);
+* the binomial series and the square-root fixed-point family (a
+  documented negative example).
+"""
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from aracodes.codec import CodeInstance, Codeword, ReceivedWord
-from aracodes.powerseries import InvalidParameterError, PowerSeries, binomial_series, monomial, t_operator
-from aracodes.tilting import untilt_node
+from aracodes.constructions import _alpha
+from aracodes.powerseries import DegreePair, InvalidParameterError, PowerSeries, monomial, t_operator
+from aracodes.tilting import side_erasures, tilt, untilt_node
 
 
 def full_horner(coeffs, x):
@@ -70,6 +85,183 @@ def instance_descriptor(inst: CodeInstance) -> str:
         "outer_shape": list(inst.outer_P.shape),
     }
     return json.dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# graph reduction and the full decoder recursion
+# ---------------------------------------------------------------------------
+
+def tilted_edge(pair: DegreePair, side: str, p: Optional[float] = None) -> tuple[PowerSeries, Callable]:
+    """One side's edge function after the family's graph reduction at p
+    (default: the pair's design p), as a series truncated at the pair's
+    order and as an evaluator on the pair's exact (node, edge) evaluators.
+
+    The side is tilted at its erasure from ``side_erasures``; at the
+    identity erasure both come back untilted.
+    """
+    p_bit, p_check = side_erasures(pair.family, pair.p if p is None else p)
+    if side == "bit":
+        dist, node_fn, edge_fn, q = pair.bit, pair.bit_node_fn(), pair.bit_edge_fn(), p_bit
+    else:
+        dist, node_fn, edge_fn, q = pair.check, pair.check_node_fn(), pair.check_edge_fn(), p_check
+    M = max(pair.bit.order, pair.check.order)
+    series = tilt(dist.node, dist.edge.truncated(M), side, q)[1].truncated(M)
+    values = lambda x: (np.asarray(node_fn(x), dtype=float), np.asarray(edge_fn(x), dtype=float))
+    return series, lambda x: tilt(*values(x), side, q)[1]
+
+
+@dataclass(frozen=True)
+class DEState:
+    """The six erasure-message probabilities of one decoder iteration."""
+
+    x0: float = 1.0
+    x1: float = 1.0
+    x2: float = 1.0
+    x3: float = 1.0
+    x4: float = 1.0
+    x5: float = 1.0
+    iteration: int = 0
+
+    @classmethod
+    def uniform(cls, value: float) -> "DEState":
+        v = float(value)
+        return cls(v, v, v, v, v, v, 0)
+
+
+def de_iterate(state: DEState, pair: DegreePair, p: float) -> DEState:
+    """One sweep of the six-message decoder recursion on the full graph.
+
+    Messages go down through the layers and back up; this is the exact
+    per-layer schedule, kept separate from the collapsed fixed-point
+    residual so the two can cross-validate each other.
+    """
+    L = pair.bit_node_fn()
+    lam = pair.bit_edge_fn()
+    R = pair.check_node_fn()
+    rho = pair.check_edge_fn()
+    x0 = 1.0 - (1.0 - state.x5) * (1.0 - p)
+    x1 = x0 * x0 * float(lam(state.x4))
+    x2 = 1.0 - float(R(1.0 - x1)) * (1.0 - state.x3)
+    x3 = p * x2
+    x4 = 1.0 - (1.0 - x3) ** 2 * float(rho(1.0 - x1))
+    x5 = x0 * float(L(x4))
+    clip = lambda v: min(max(v, 0.0), 1.0)
+    return DEState(clip(x0), clip(x1), clip(x2), clip(x3), clip(x4), clip(x5), state.iteration + 1)
+
+
+# ---------------------------------------------------------------------------
+# composition-count table and self-matched coefficients (criterion 07)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CmkTable:
+    """Triangular table of ordered-composition sums.
+
+    Entry (m, k) is the sum of 1/(i_1 ... i_m) over ordered tuples of
+    integers >= 2 summing to k; it is the coefficient extractor for the
+    m-th power of x^2/2 + x^3/3 + x^4/4 + ...  Row 1 is 1/k and entries
+    vanish for k < 2m.
+    """
+
+    values: np.ndarray  # shape (k_max // 2 + 1, k_max + 1)
+    k_max: int
+
+    def c(self, m: int, k: int) -> float:
+        if m < 1 or k < 2 * m or k > self.k_max:
+            return 0.0
+        return float(self.values[m, k])
+
+
+@lru_cache(maxsize=8)
+def _cmk_values(k_max: int) -> np.ndarray:
+    m_max = k_max // 2
+    table = np.zeros((m_max + 1, k_max + 1))
+    ks = np.arange(2, k_max + 1)
+    table[1, 2:] = 1.0 / ks
+    for m in range(2, m_max + 1):
+        prefix = np.cumsum(table[m - 1])
+        lo = 2 * (m - 1)
+        ks = np.arange(2 * m, k_max + 1)
+        # sum of row m-1 over [2(m-1), k-2], via prefix sums
+        table[m, 2 * m:] = m / ks * (prefix[ks - 2] - prefix[lo - 1])
+    table.flags.writeable = False
+    return table
+
+
+def cmk_table(k_max: int) -> CmkTable:
+    if k_max < 2:
+        raise InvalidParameterError("k_max must be at least 2")
+    return CmkTable(values=_cmk_values(k_max), k_max=k_max)
+
+
+def self_matched_coeffs_recursion(p: float, b: float, order: int) -> np.ndarray:
+    """Node coefficients of the self-matched bit side via the table recursion.
+
+    Exact in exact arithmetic, but the alternating sum cancels like
+    b^(-2k) in floating point, so past k of roughly 150 the values
+    degrade; untilting the ratio side's series (same-scale b^k terms only)
+    is the stable production route, and the two are cross-checked.
+    """
+    table = _cmk_values(max(order, 2))
+    a = _alpha(p, b)
+    m_max = table.shape[0] - 1
+    signs = (-a) ** np.arange(m_max)  # (-1)^{m-1} a^{m-1} for m = 1..m_max
+    sums = signs @ table[1:, : order + 1]
+    k = np.arange(order + 1)
+    coeffs = a / (1.0 - p) * np.power(b, k) * sums
+    coeffs[:2] = 0.0
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# large-degree asymptotics (criterion 08)
+# ---------------------------------------------------------------------------
+
+EULER_GAMMA = 0.57721566490153286061
+
+
+@dataclass(frozen=True)
+class AsymptoticParams:
+    """Ingredients of the large-degree coefficient approximation."""
+
+    p: float
+    b: float
+    alpha: float
+    d: float
+    gamma: float = EULER_GAMMA
+
+    @classmethod
+    def from_pb(cls, p: float, b: float) -> "AsymptoticParams":
+        a = _alpha(p, b)
+        if not (a > 0.0):
+            raise InvalidParameterError("alpha must be positive for p, b in (0, 1)")
+        return cls(p=p, b=b, alpha=a, d=a / (1.0 - a))
+
+
+def asymptotic_coeffs(k: int, params: AsymptoticParams, which: str = "L") -> float:
+    """Large-degree estimate of a self-matched coefficient.
+
+    The node-side estimate decays like b^k / (k ln^2 k); the edge side
+    carries an extra factor k (1-b) / (b^2 p^2).  The check side is the
+    bit side with p replaced by 1 - p.
+    """
+    if k < 2:
+        raise InvalidParameterError("asymptotics need k >= 2")
+    p, b = params.p, params.b
+    if which in ("R", "rho"):
+        params = AsymptoticParams.from_pb(1.0 - p, b)
+        pp = 1.0 - p
+    else:
+        pp = p
+    a, d, g = params.alpha, params.d, params.gamma
+    lead = 1.0 / ((1.0 - a) * (1.0 - pp)) * b ** k / k
+    bracket = 1.0 / (1.0 + d * np.log(k)) ** 2 * (1.0 - 2.0 * g / (1.0 + d * np.log(k)))
+    node_value = lead * bracket
+    if which in ("L", "R"):
+        return float(node_value)
+    if which in ("lambda", "rho"):
+        return float((1.0 - b) * k / (b ** 2 * pp ** 2) * node_value)
+    raise InvalidParameterError("which must be 'L', 'R', 'lambda' or 'rho'")
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +349,15 @@ def alt_self_matched_probe(
         overlap=overlap,
         fixed_point_residual=residual,
     )
+
+
+def binomial_series(alpha: float, order: int) -> PowerSeries:
+    """Series of (1 - x)^alpha."""
+    c = np.zeros(order + 1)
+    c[0] = 1.0
+    for k in range(1, order + 1):
+        c[k] = -c[k - 1] * (alpha - k + 1) / k
+    return PowerSeries(c)
 
 
 def _scaled_binomial(exponent: float, scale: float, order: int) -> PowerSeries:

@@ -14,16 +14,14 @@ from scipy.optimize import brentq
 from aracodes import codec, nonneg, tilting
 from aracodes.constructions import (
     CATALOG,
-    AsymptoticParams,
     C_STAR,
-    asymptotic_coeffs,
     build_catalog_pair,
-    cmk_table,
     matched_cubic_edge_series,
     self_matched_ara,
     solve_b,
 )
 from aracodes.powerseries import DegreeDistribution, DegreePair, PowerSeries
+from oracles import AsymptoticParams, asymptotic_coeffs, cmk_table
 
 
 def _report(num, ok, detail):

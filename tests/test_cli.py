@@ -124,6 +124,41 @@ class TestVerify:
         assert doc["verdict"] == "pass"
 
 
+class TestParserReuse:
+    CALLS = [
+        ["construct", "--family", "self-matched-ara", "--p", "0.5", "--M", "64"],
+        ["de", "--family", "bit-regular-ara", "--p", "x"],  # argparse rejects the value: exit 2
+        ["verify", "--family", "check-regular-nsira", "--p", "0.5", "--grid", "2048"],
+        # no --grid: a value left over from the verify call would change the rows
+        ["de", "--family", "self-matched-nsira", "--p", "0.5", "--M", "64"],
+    ]
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def fresh(argv):
+        """The same call in a new interpreter, whose parser serves it alone."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "aracodes.cli", *argv], capture_output=True, text=True,
+                             env=env, timeout=120)
+        return run.returncode, run.stdout, run.stderr
+
+    def test_one_parser_serves_every_call(self, capsys):
+        assert cli._parser() is cli._parser()
+        in_sequence = [self.in_process(capsys, argv) for argv in self.CALLS]
+        assert in_sequence == [self.fresh(argv) for argv in self.CALLS]
+        assert [code for code, _, _ in in_sequence] == [0, 2, 0, 0]
+        assert "invalid float value" in in_sequence[1][2]
+
+
 def test_scipy_integrate_loads_at_first_verify():
     # A fresh interpreter: the import brings in scipy but leaves
     # scipy.integrate to the first Polya integral of a verify command.

@@ -6,14 +6,11 @@ from scipy.special import lambertw as scipy_lambertw
 
 from aracodes import constructions, tilting
 from aracodes.constructions import (
-    AsymptoticParams,
     build_catalog_pair,
     aldpc_bit_regular,
     aldpc_check_regular,
-    asymptotic_coeffs,
     bit_regular_ara,
     check_regular_ara,
-    cmk_table,
     lambert_w0,
     matched_cubic_edge_fn,
     matched_cubic_edge_series,
@@ -22,13 +19,13 @@ from aracodes.constructions import (
     nsira_check_regular,
     self_matched_aldpc,
     self_matched_ara,
-    self_matched_coeffs_recursion,
     self_matched_nsira,
     solve_b,
     solve_check_from_bit,
     validity_region,
 )
 from aracodes.powerseries import InvalidParameterError, PowerSeries, ValidityError, monomial
+from oracles import AsymptoticParams, asymptotic_coeffs, cmk_table, self_matched_coeffs_recursion
 
 
 class TestLambertW:

@@ -1,0 +1,34 @@
+import types
+
+import aracodes
+from aracodes import constructions, powerseries, tilting
+
+#: Names that left the package: deleted, or moved into tests/oracles.py.
+GONE = {
+    tilting: ["tilt_node", "tilt_edge", "TiltedPair", "puncture", "PunctureResult", "de_iterate", "DEState"],
+    constructions: [
+        "cmk_table", "CmkTable", "self_matched_coeffs_recursion",
+        "AsymptoticParams", "asymptotic_coeffs", "EULER_GAMMA",
+    ],
+    powerseries: ["binomial_series"],
+}
+
+
+def test_every_exported_name_exists_and_none_is_a_module():
+    assert len(aracodes.__all__) == len(set(aracodes.__all__))
+    for name in aracodes.__all__:
+        assert hasattr(aracodes, name), name
+        assert not isinstance(getattr(aracodes, name), types.ModuleType), name
+
+
+def test_star_import_binds_exactly_the_export_list():
+    namespace = {}
+    exec("from aracodes import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(aracodes.__all__)
+
+
+def test_deleted_and_moved_names_are_gone():
+    for module, names in GONE.items():
+        for name in names:
+            assert name not in aracodes.__all__, name
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

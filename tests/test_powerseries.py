@@ -11,7 +11,6 @@ from aracodes.powerseries import (
     InvalidInputError,
     PowerSeries,
     ValidityError,
-    binomial_series,
     edge_from_node,
     node_from_edge,
     reciprocal,
@@ -20,7 +19,7 @@ from aracodes.powerseries import (
     truncate_check,
 )
 
-from oracles import full_horner
+from oracles import binomial_series, full_horner
 
 
 class TestEval:

@@ -14,23 +14,24 @@ from aracodes.powerseries import (
     monomial,
 )
 from aracodes.tilting import (
-    DEState,
     chop_pair,
     complexity,
-    de_iterate,
     de_residual,
     design_rate,
-    puncture,
     stability,
     symmetry_swap,
     threshold_search,
     tilt,
-    tilt_edge,
-    tilt_node,
     truncate_pair,
     untilt,
     untilt_node,
 )
+from oracles import DEState, de_iterate, tilted_edge
+
+
+def tilt_node(node, side, p):
+    """The node half of the graph reduction."""
+    return tilt(node, None, side, p)[0]
 
 
 def regular_pair(p=0.5):
@@ -145,7 +146,8 @@ class TestIdentityErasure:
 
         edge_fn = lambda x: np.asarray(x) ** 2
         xs = np.linspace(0.0, 1.0, 9)
-        assert np.array_equal(tilting._tilted_edge_values(node_fn, edge_fn, xs, side, q), xs ** 2)
+        raw = tilting._raw_values(node_fn, edge_fn, xs, side, q)
+        assert np.array_equal(tilting._tilt_values(*raw, side, q), xs ** 2)
         assert tilting._untilt_fns(node_fn, edge_fn, side, q) == (node_fn, edge_fn)
 
     def test_side_erasures(self):
@@ -167,42 +169,44 @@ class TestEdgeTilt:
         bit = DegreeDistribution.from_node(monomial(3, 160), exact_mean=3.0)
         check = DegreeDistribution.from_node(monomial(3, 160), exact_mean=3.0, allow_degree_one=True)
         pair = DegreePair(bit=bit, check=check, family="ARA", p=p)
-        tp = tilt_edge(pair)
+        lam_series, lam_fn = tilted_edge(pair, "bit")
         xs = np.linspace(0, 1, 33)
         expect = p ** 2 * xs ** 2 / (1 - (1 - p) * xs ** 3) ** 2
-        assert np.allclose(tp.lam_fn(xs), expect, atol=1e-12)
+        assert np.allclose(lam_fn(xs), expect, atol=1e-12)
         interior = xs <= 0.9  # series comparison limited by the geometric tail
-        assert np.allclose(tp.lam_series(xs[interior]), expect[interior], atol=1e-6)
+        assert np.allclose(lam_series(xs[interior]), expect[interior], atol=1e-6)
 
     def test_small_p_check_untouched_in_limit(self):
         pair = regular_pair(0.5)
-        tp = tilt_edge(pair, p=1e-9)
+        rho_fn = tilted_edge(pair, "check", p=1e-9)[1]
         xs = np.linspace(0, 1, 9)
-        assert np.allclose(tp.rho_fn(xs), xs ** 2, atol=1e-7)
+        assert np.allclose(rho_fn(xs), xs ** 2, atol=1e-7)
 
     def test_family_routing(self):
         pair = cons.self_matched_nsira(0.4, order=128)
-        tp = tilt_edge(pair)
+        lam_fn = tilted_edge(pair, "bit")[1]
         xs = np.linspace(0, 1, 17)
         # NSIRA leaves the bit side untouched
-        assert np.allclose(tp.lam_fn(xs), pair.bit_edge_fn()(xs), atol=1e-14)
+        assert np.allclose(lam_fn(xs), pair.bit_edge_fn()(xs), atol=1e-14)
 
     def test_self_matched_tilts_to_rational(self):
         pair = cons.self_matched_ara(0.5, order=256)
         b = pair.b
-        tp = tilt_edge(pair)
+        lam_series, lam_fn = tilted_edge(pair, "bit")
+        rho_fn = tilted_edge(pair, "check")[1]
         xs = np.linspace(0, 1, 65)
         f = (1 - b) * xs / (1 - b * xs)
-        assert np.allclose(tp.lam_fn(xs), f, atol=1e-12)
-        assert np.allclose(tp.rho_fn(xs), f, atol=1e-12)
-        assert np.allclose(tp.lam_series(xs), f, atol=1e-8)
+        assert np.allclose(lam_fn(xs), f, atol=1e-12)
+        assert np.allclose(rho_fn(xs), f, atol=1e-12)
+        assert np.allclose(lam_series(xs), f, atol=1e-8)
 
     def test_endpoints(self):
         pair = cons.self_matched_ara(0.5, order=128)
-        tp = tilt_edge(pair)
-        assert tp.lam_fn(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert tp.lam_fn(1.0) == pytest.approx(1.0, abs=1e-9)
-        assert tp.rho_fn(1.0) == pytest.approx(1.0, abs=1e-9)
+        lam_fn = tilted_edge(pair, "bit")[1]
+        rho_fn = tilted_edge(pair, "check")[1]
+        assert lam_fn(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert lam_fn(1.0) == pytest.approx(1.0, abs=1e-9)
+        assert rho_fn(1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDEIteration:
@@ -354,26 +358,6 @@ class TestSymmetrySwap:
         assert np.max(np.abs(orig - mirrored)) < 1e-9
 
 
-class TestPuncture:
-    def test_identity(self):
-        assert puncture(0.3, 1.0).p_eff == pytest.approx(0.3)
-
-    def test_formula(self):
-        res = puncture(0.4, 0.5)
-        assert res.p_eff == pytest.approx(0.7, abs=1e-15)
-        assert res.complexity_scale == pytest.approx(2.0)
-
-    def test_rate_seven_tenths_design(self):
-        # rate-1/2 design pushed to rate 0.7 transmits 5/7 of the bits
-        alpha = (1 - 0.7) / (1 - 0.5)
-        res = puncture(0.5, alpha)
-        assert res.p_eff == pytest.approx(1 - alpha * 0.5, abs=1e-15)
-
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            puncture(0.3, 0.0)
-
-
 class TestThresholdSearch:
     def test_untruncated_reaches_design_p(self):
         pair = cons.self_matched_ara(0.5, order=256)
@@ -500,7 +484,8 @@ class TestThresholdSearch:
     def test_area_identity(self):
         for name, p in [("self-matched-ara", 0.5), ("bit-regular-ara", 0.2)]:
             pair = cons.build_catalog_pair(name, p, order=256)
-            tp = tilt_edge(pair)
-            il = quad(lambda x: float(tp.lam_fn(x)), 0, 1, limit=200)[0]
-            ir = quad(lambda x: float(tp.rho_fn(x)), 0, 1, limit=200)[0]
+            lam_fn = tilted_edge(pair, "bit")[1]
+            rho_fn = tilted_edge(pair, "check")[1]
+            il = quad(lambda x: float(lam_fn(x)), 0, 1, limit=200)[0]
+            ir = quad(lambda x: float(rho_fn(x)), 0, 1, limit=200)[0]
             assert abs(il - ir) < 1e-8
