@@ -17,16 +17,19 @@ from .powerseries import (
 from .codec import ConstructionError
 
 
-def _add_pair_args(sub: argparse.ArgumentParser) -> None:
+def _add_pair_args(sub: argparse.ArgumentParser, builds: bool) -> None:
+    """Options naming a catalog pair; ``verify`` builds none, so it gates on no bound."""
     sub.add_argument("--family", required=True, choices=sorted(CATALOG))
     sub.add_argument("--p", type=float, required=True, help="design erasure probability")
     sub.add_argument("--b", type=_parse_b, default=None, help="series parameter, or 'auto' to solve for it")
-    sub.add_argument("--M", type=int, default=512, help="series truncation depth")
-    sub.add_argument(
-        "--allow-unproven",
-        action="store_true",
-        help="accept the numerically observed validity range for the regular families",
-    )
+    unread = "not read by verify; accepted so the design commands share one argument list"
+    sub.add_argument("--M", type=int, default=512, help="series truncation depth" if builds else unread)
+    if builds:
+        sub.add_argument(
+            "--allow-unproven",
+            action="store_true",
+            help="accept the numerically observed validity range for the regular families",
+        )
 
 
 def _parse_b(value):
@@ -113,16 +116,16 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_con = subs.add_parser("construct", help="emit a degree pair as JSON")
-    _add_pair_args(p_con)
+    _add_pair_args(p_con, builds=True)
     p_con.set_defaults(func=cmd_construct)
 
     p_de = subs.add_parser("de", help="fixed-point residual grid and threshold summary")
-    _add_pair_args(p_de)
+    _add_pair_args(p_de, builds=True)
     p_de.add_argument("--grid", type=int, default=1000)
     p_de.set_defaults(func=cmd_de)
 
     p_ver = subs.add_parser("verify", help="non-negativity verification report")
-    _add_pair_args(p_ver)
+    _add_pair_args(p_ver, builds=False)
     p_ver.add_argument("--grid", type=int, default=8192)
     p_ver.set_defaults(func=cmd_verify)
 

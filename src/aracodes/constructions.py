@@ -17,8 +17,10 @@ mean, untilted where the family's graph reduction tilts it, and every
 matched image is evaluated by one by-parts integral.  Each pair carries
 exact closed-form evaluators alongside its truncated coefficient arrays,
 so downstream fixed-point checks are not limited by truncation.
-:data:`CATALOG` is the one registry of the named families: builder,
-family tag, options, representative p and verification route.
+:data:`CATALOG` is the one registry of the named families, one record of
+facts each: structure, family tag, representative p and, for the degree-3
+families, the bounds of the bit-regular pair each is built from.  Building
+and verifying read the route off the record.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from .powerseries import (
     reciprocal,
     t_operator,
 )
-from .tilting import _accumulated, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node
+from .tilting import (
+    _SWAP_FAMILY, _accumulated, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node,
+)
 
 #: Critical constant of the head-coefficient sign condition.
 C_STAR = (13.0 - np.sqrt(61.0)) / 9.0
@@ -232,20 +236,6 @@ def self_matched_ara(p: float, b: Optional[float] = None, order: int = DEFAULT_O
     return _self_matched("ARA", p, b, order)
 
 
-def self_matched_nsira(p: float, b: Optional[float] = None, order: int = DEFAULT_ORDER) -> DegreePair:
-    """Self-matched NSIRA pair: untilted bit side, shared check side.
-
-    The bit coefficients are proportional to b^i / i and are non-negative
-    for every b, so only the check-side bound constrains p.
-    """
-    return _self_matched("NSIRA", p, b, order)
-
-
-def self_matched_aldpc(p: float, b: Optional[float] = None, order: int = DEFAULT_ORDER) -> DegreePair:
-    """Self-matched ALDPC pair: the bit/check mirror of the NSIRA family."""
-    return _self_matched("ALDPC", p, b, order)
-
-
 # ---------------------------------------------------------------------------
 # the algebraic cubic behind the degree-3-regular families
 # ---------------------------------------------------------------------------
@@ -320,78 +310,6 @@ def _bit_regular(family: str, p: float, order: int) -> DegreePair:
         bit_fns=(lambda x: np.asarray(x, dtype=float) ** 3, lambda x: np.asarray(x, dtype=float) ** 2),
         check_fns=_bit_regular_check_fns(family, p),
     )
-
-
-def bit_regular_ara(p: float, order: int = DEFAULT_ORDER, allow_unproven: bool = False) -> DegreePair:
-    """ARA pair with all punctured bits of degree 3.
-
-    The check side is recovered from the matched image of the tilted bit
-    side.  Non-negativity is proven for p <= 0.26; numerical evidence
-    extends to roughly 0.384, reachable with ``allow_unproven``.
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    limit = 0.384 if allow_unproven else 0.26
-    if p > limit + 1e-12:
-        raise ValidityError(
-            f"p={p} beyond the {'observed' if allow_unproven else 'proven'} bound {limit}"
-        )
-    return _bit_regular("ARA", p, order)
-
-
-def _check_regular_image(bit_regular: DegreePair, p: float) -> DegreePair:
-    """The bit/check swap of a bit-regular pair designed at 1 - p: the check-regular pair at p."""
-    return replace(symmetry_swap(bit_regular), p=p, label="check-regular-3")
-
-
-def check_regular_ara(p: float, order: int = DEFAULT_ORDER, allow_unproven: bool = False) -> DegreePair:
-    """ARA pair with all checks of degree 3: the swap image of the bit-regular one."""
-    return _check_regular_image(bit_regular_ara(1.0 - p, order, allow_unproven), p)
-
-
-def nsira_bit_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
-    """NSIRA pair with degree-3 bits; valid natively for p <= 1/13.
-
-    The bit side stays untilted, so the tilted check side is the matched
-    image of x^2: edge form 1 - sqrt(1-x), node form
-    3x - 2(1 - (1-x)^{3/2}).
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    if p > 1.0 / 13.0 + 1e-12:
-        raise ValidityError(f"p={p} beyond 1/13; puncture a lower-p design instead")
-    return _bit_regular("NSIRA", p, order)
-
-
-def aldpc_bit_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
-    """ALDPC pair with degree-3 bits; non-negative for every p in (0, 1).
-
-    The check side is the matched cubic itself (no accumulator on that
-    side), so its node form is the normalized cubic integral.
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    return _bit_regular("ALDPC", p, order)
-
-
-def nsira_check_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
-    """NSIRA pair with degree-3 checks: the swap image of the ALDPC bit-regular one.
-
-    Its bit side is the matched cubic, whose coefficient tails decay like
-    k^{-3/2}, so partial sums converge far more slowly than for the
-    self-matched family.
-    """
-    return _check_regular_image(aldpc_bit_regular(1.0 - p, order), p)
-
-
-def aldpc_check_regular(p: float, order: int = DEFAULT_ORDER) -> DegreePair:
-    """ALDPC pair with degree-3 checks, the swap image of the NSIRA bit-regular
-    one; valid natively for p >= 12/13."""
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    if p < 12.0 / 13.0 - 1e-12:
-        raise ValidityError(f"p={p} below 12/13; puncture a higher-p design instead")
-    return _check_regular_image(nsira_bit_regular(1.0 - p, order), p)
 
 
 # ---------------------------------------------------------------------------
@@ -525,43 +443,44 @@ def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -
 # catalog
 # ---------------------------------------------------------------------------
 
-#: How a catalog family's non-negativity is certified (``nonneg.verify_family``):
-#: the self-matched scale constants against the critical value, or the
-#: circle criterion on the matched cubic or on the bit-regular check side.
-VERIFY_SCALES = "scales"
-VERIFY_CUBIC = "cubic"
-VERIFY_BITREG = "bitreg"
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog family: how to build it and how to certify it."""
+    """One catalog family, as facts: its structure, family tag and representative p.
 
-    builder: Callable[..., DegreePair]
+    A degree-3 family is built from a bit-regular pair: the pair itself, or
+    its bit/check swap designed at 1 - p.  ``proven`` and ``observed`` bound
+    the p of that base pair; ``observed`` is reachable with allow_unproven.
+    """
+
+    structure: str  # "self-matched", "bit-regular" or "check-regular"
     tag: str  # family tag of the pairs it builds: ARA, NSIRA or ALDPC
     representative_p: float
-    takes_b: bool = False
-    takes_unproven: bool = False
-    verifier: Optional[str] = None  # one of the VERIFY_* kinds; None: no verifier
-    swapped: bool = False  # a swap image, verified at 1 - p
+    proven: Optional[float] = None
+    observed: Optional[float] = None
 
-    def verified_p(self, p: float) -> tuple[float, float]:
-        """The p the verifier runs at and its complement, both taken from p, not 1 - (1 - p)."""
-        return (1.0 - p, p) if self.swapped else (p, 1.0 - p)
+    @property
+    def base_tag(self) -> Optional[str]:
+        """Family tag of the bit-regular base pair; None for a self-matched family."""
+        if self.structure == "self-matched":
+            return None
+        return _SWAP_FAMILY[self.tag] if self.structure == "check-regular" else self.tag
+
+    def swap_pair_p(self, p: float) -> tuple[float, float]:
+        """The (bit-regular, check-regular) p of the swap pair a degree-3 family
+        at p belongs to, both taken from p, not 1 - (1 - p)."""
+        return (1.0 - p, p) if self.structure == "check-regular" else (p, 1.0 - p)
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "self-matched-ara": CatalogEntry(self_matched_ara, "ARA", 0.5, takes_b=True, verifier=VERIFY_SCALES),
-    "self-matched-nsira": CatalogEntry(self_matched_nsira, "NSIRA", 0.5, takes_b=True, verifier=VERIFY_SCALES),
-    "self-matched-aldpc": CatalogEntry(self_matched_aldpc, "ALDPC", 0.5, takes_b=True, verifier=VERIFY_SCALES),
-    "bit-regular-ara": CatalogEntry(bit_regular_ara, "ARA", 0.2, takes_unproven=True, verifier=VERIFY_BITREG),
-    "check-regular-ara": CatalogEntry(
-        check_regular_ara, "ARA", 0.8, takes_unproven=True, verifier=VERIFY_BITREG, swapped=True
-    ),
-    "check-regular-nsira": CatalogEntry(nsira_check_regular, "NSIRA", 0.5, verifier=VERIFY_CUBIC),
-    "bit-regular-nsira": CatalogEntry(nsira_bit_regular, "NSIRA", 0.07),
-    "bit-regular-aldpc": CatalogEntry(aldpc_bit_regular, "ALDPC", 0.5, verifier=VERIFY_CUBIC, swapped=True),
-    "check-regular-aldpc": CatalogEntry(aldpc_check_regular, "ALDPC", 0.93),
+    "self-matched-ara": CatalogEntry("self-matched", "ARA", 0.5),
+    "self-matched-nsira": CatalogEntry("self-matched", "NSIRA", 0.5),
+    "self-matched-aldpc": CatalogEntry("self-matched", "ALDPC", 0.5),
+    "bit-regular-ara": CatalogEntry("bit-regular", "ARA", 0.2, proven=0.26, observed=0.384),
+    "check-regular-ara": CatalogEntry("check-regular", "ARA", 0.8, proven=0.26, observed=0.384),
+    "check-regular-nsira": CatalogEntry("check-regular", "NSIRA", 0.5),
+    "bit-regular-nsira": CatalogEntry("bit-regular", "NSIRA", 0.07, proven=1.0 / 13.0),
+    "bit-regular-aldpc": CatalogEntry("bit-regular", "ALDPC", 0.5),
+    "check-regular-aldpc": CatalogEntry("check-regular", "ALDPC", 0.93, proven=1.0 / 13.0),
 }
 
 
@@ -578,13 +497,26 @@ def build_catalog_pair(
     order: int = DEFAULT_ORDER,
     allow_unproven: bool = False,
 ) -> DegreePair:
-    """Build a catalog pair by name; b and allow_unproven reach only the families that take them."""
+    """Build a catalog pair by name, from its record.
+
+    b reaches only the self-matched families, allow_unproven only the
+    families with an observed bound.  The base pair is gated on its own p;
+    a range error names the p given here and the bound in that p.
+    """
     entry = catalog_entry(name)
     if order < 3:
         raise InvalidParameterError("order must be at least 3: the degree-3 families need x^3")
-    options = {}
-    if entry.takes_b:
-        options["b"] = b
-    if entry.takes_unproven:
-        options["allow_unproven"] = allow_unproven
-    return entry.builder(p, order=order, **options)
+    if entry.structure == "self-matched":
+        return _self_matched(entry.tag, p, b, order)
+    if not (0.0 < p < 1.0):
+        raise InvalidParameterError("p must lie in (0, 1)")
+    base_p = entry.swap_pair_p(p)[0]
+    observed = allow_unproven and entry.observed is not None
+    bound = entry.observed if observed else entry.proven
+    if bound is not None and base_p > bound + 1e-12:
+        side, own = ("beyond", bound) if entry.structure == "bit-regular" else ("below", 1.0 - bound)
+        raise ValidityError(f"p={p} {side} the {'observed' if observed else 'proven'} bound {own:.6g}")
+    pair = _bit_regular(entry.base_tag, base_p, order)
+    if entry.structure == "bit-regular":
+        return pair
+    return replace(symmetry_swap(pair), p=p, label="check-regular-3")

@@ -19,15 +19,13 @@ import scipy  # scipy.integrate loads lazily, on the first Pólya integral
 
 from .constructions import (
     C_STAR,
-    VERIFY_BITREG,
-    VERIFY_CUBIC,
-    VERIFY_SCALES,
     _alpha,
     _bit_regular_check_fns,
     catalog_entry,
     matched_check_node_series,
     matched_cubic_edge_series,
     solve_b,
+    validity_region,
 )
 from .powerseries import (
     InvalidParameterError,
@@ -206,9 +204,10 @@ def tilted_scale(family: str, p: float, b: float) -> float:
 
 
 def self_matched_condition(p: float, b: float, family: str) -> bool:
-    """Closed-form head condition for the self-matched families: the
-    largest scale constant against the critical value."""
-    return bool(tilted_scale(family, p, b) <= C_STAR + 1e-12)
+    """Closed-form head condition for the self-matched families: p inside the
+    family's validity region at b, with the builder's slack."""
+    region = validity_region(family, b)
+    return bool(region.lo - 1e-12 <= p <= region.hi + 1e-12)
 
 
 def verify_checkreg_nsira(p: float, grid_n: int = 8192) -> ConvexityReport:
@@ -245,37 +244,41 @@ def verify_bitreg_ara(p: float, grid_n: int = 8192) -> ConvexityReport:
 def first_coefficients_min(family: str, p: float, order: int = 200) -> float:
     """Direct series oracle: minimum of the first coefficients of the tested side."""
     entry = catalog_entry(family)
-    p_v, q_v = entry.verified_p(p)
-    if entry.verifier == VERIFY_CUBIC:
-        return float(matched_cubic_edge_series(q_v, order).coeffs.min())
-    if entry.verifier == VERIFY_BITREG:
-        return float(matched_check_node_series(monomial(3, 3), entry.tag, p_v, order).coeffs.min())
+    p_bit = entry.swap_pair_p(p)[0]
+    if entry.base_tag == "ALDPC":
+        return float(matched_cubic_edge_series(p_bit, order).coeffs.min())
+    if entry.base_tag == "ARA":
+        return float(matched_check_node_series(monomial(3, 3), "ARA", p_bit, order).coeffs.min())
     raise InvalidParameterError(f"no series oracle for family {family!r}")
 
 
 def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int = 8192) -> dict:
     """Non-negativity report of a catalog family at design p, as a JSON-ready dict.
 
-    Self-matched families get the closed-form scale condition, plus the
-    circle criterion and the series oracle on the log-ratio candidate at
-    :func:`tilted_scale`.  The degree-3
-    families get the circle criterion on their tested side and the direct
-    series oracle.
+    The route comes from the family's record.  Self-matched families get the
+    closed-form condition, plus the circle criterion and the series oracle
+    on the log-ratio candidate at :func:`tilted_scale`.  A degree-3 family
+    gets the circle criterion and the direct series oracle for its
+    bit-regular base pair: on R'(z)/z of the bit-regular ARA pair, or on
+    the matched cubic for an ALDPC base pair.  An NSIRA base pair has none.
     """
     entry = catalog_entry(family)
     doc = {"family": family, "p": p}
-    if entry.verifier == VERIFY_SCALES:
+    if entry.structure == "self-matched":
         b = solve_b(p) if b is None else b
         c = tilted_scale(entry.tag, p, b)
         doc.update(b=b, closed_form_condition=self_matched_condition(p, b, entry.tag), critical_c=C_STAR)
         report = polya_verify(self_matched_candidate(c), grid_n=grid_n)
         series_min = float(log_ratio_series(c, 200).coeffs.min())
-    elif entry.verifier in (VERIFY_CUBIC, VERIFY_BITREG):
-        verify = verify_checkreg_nsira if entry.verifier == VERIFY_CUBIC else verify_bitreg_ara
-        report = verify(entry.verified_p(p)[0], grid_n=grid_n)
-        series_min = first_coefficients_min(family, p)
     else:
-        raise InvalidParameterError(f"no verifier for family {family!r}")
+        p_bit, p_check = entry.swap_pair_p(p)
+        if entry.base_tag == "ARA":
+            report = verify_bitreg_ara(p_bit, grid_n=grid_n)
+        elif entry.base_tag == "ALDPC":
+            report = verify_checkreg_nsira(p_check, grid_n=grid_n)
+        else:
+            raise InvalidParameterError(f"no verifier for family {family!r}")
+        series_min = first_coefficients_min(family, p)
     doc.update(
         verdict=report.verdict,
         min_second_difference=report.min_second_difference,

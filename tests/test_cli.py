@@ -114,6 +114,13 @@ class TestVerify:
         assert doc["verdict"] == "pass"
         assert doc["first_200_coeff_min"] >= -1e-9
 
+    def test_allow_unproven_is_not_offered(self, capsys):
+        # verify reports a verdict at any p and gates on no bound
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "bit-regular-ara", "--p", "0.3", "--allow-unproven"])
+        assert exc.value.code == 2
+        assert "--allow-unproven" in capsys.readouterr().err
+
     def test_family_verifier(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "check-regular-nsira", "--p", "0.9",

@@ -421,10 +421,10 @@ class TestInstantiate:
         assert np.all(inst.pilot_set < inst.k - inst.m_outer)
 
     def test_non_ara_rejected(self):
-        from aracodes.constructions import self_matched_nsira
+        from aracodes.constructions import build_catalog_pair
 
         with pytest.raises(ConstructionError):
-            instantiate(self_matched_nsira(0.4, order=64), k=64)
+            instantiate(build_catalog_pair("self-matched-nsira", 0.4, order=64), k=64)
 
     @pytest.mark.parametrize(
         "k, m_outer", [(0, 0), (-3, 0), (64, -1), (64, 64), (64, 100)]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,24 +7,18 @@ from scipy.special import lambertw as scipy_lambertw
 
 from aracodes import constructions, tilting
 from aracodes.constructions import (
+    CATALOG,
     build_catalog_pair,
-    aldpc_bit_regular,
-    aldpc_check_regular,
-    bit_regular_ara,
-    check_regular_ara,
     lambert_w0,
     matched_cubic_edge_fn,
     matched_cubic_edge_series,
     matched_image_series,
-    nsira_bit_regular,
-    nsira_check_regular,
-    self_matched_aldpc,
     self_matched_ara,
-    self_matched_nsira,
     solve_b,
     solve_check_from_bit,
     validity_region,
 )
+from aracodes.nonneg import verify_family
 from aracodes.powerseries import InvalidParameterError, PowerSeries, ValidityError, monomial
 from oracles import AsymptoticParams, asymptotic_coeffs, cmk_table, self_matched_coeffs_recursion
 
@@ -153,7 +148,7 @@ class TestSelfMatchedFamilies:
 
     def test_nsira_bit_coeffs_formula(self):
         b = 0.9304
-        pair = self_matched_nsira(0.5, b=b, order=64)
+        pair = build_catalog_pair("self-matched-nsira", 0.5, b=b, order=64)
         d0 = b + np.log1p(-b)
         ks = np.arange(2, 65)
         expect = -np.power(b, ks) / (ks * d0)
@@ -162,26 +157,26 @@ class TestSelfMatchedFamilies:
 
     def test_nsira_valid_for_any_b(self):
         for b in (0.95, 0.99):
-            pair = self_matched_nsira(0.3, b=b, order=64)
+            pair = build_catalog_pair("self-matched-nsira", 0.3, b=b, order=64)
             assert pair.bit.node.coeffs.min() >= 0.0
 
     def test_nsira_complexity_formula(self):
         p, b = 0.5, 0.9304
-        chi = tilting.complexity(self_matched_nsira(p, b=b, order=128))
+        chi = tilting.complexity(build_catalog_pair("self-matched-nsira", p, b=b, order=128))
         expect = 2.0 / (1 - p) - b * b / ((1 - b) * (b + np.log1p(-b)))
         assert chi.chi_encode == pytest.approx(expect, abs=1e-9)
 
     def test_aldpc_is_nsira_mirror(self):
         p, b = 0.55, 0.95
-        direct = self_matched_aldpc(p, b=b, order=96)
-        mirrored = tilting.symmetry_swap(self_matched_nsira(1.0 - p, b=b, order=96))
+        direct = build_catalog_pair("self-matched-aldpc", p, b=b, order=96)
+        mirrored = tilting.symmetry_swap(build_catalog_pair("self-matched-nsira", 1.0 - p, b=b, order=96))
         assert np.allclose(direct.bit.node.coeffs, mirrored.bit.node.coeffs, atol=1e-14)
         assert np.allclose(direct.check.node.coeffs, mirrored.check.node.coeffs, atol=1e-14)
         assert mirrored.family == "ALDPC"
 
     def test_aldpc_complexity_formula(self):
         p, b = 0.5, 0.9304
-        chi = tilting.complexity(self_matched_aldpc(p, b=b, order=128))
+        chi = tilting.complexity(build_catalog_pair("self-matched-aldpc", p, b=b, order=128))
         expect = 3.0 / (1 - p) - b * b * p / ((1 - p) * (1 - b) * (b + np.log1p(-b)))
         assert chi.chi_decode == pytest.approx(expect, abs=1e-9)
 
@@ -196,62 +191,62 @@ class TestSelfMatchedFamilies:
 
 class TestRegularFamilies:
     def test_bit_regular_shape(self):
-        pair = bit_regular_ara(0.2, order=128)
+        pair = build_catalog_pair("bit-regular-ara", 0.2, order=128)
         assert np.allclose(pair.bit.node.coeffs[:5], [0, 0, 0, 1, 0])
         assert np.allclose(pair.bit.edge.coeffs[:4], [0, 0, 1, 0])
 
     def test_check_fraction_below_32(self):
-        pair = bit_regular_ara(0.3, order=400, allow_unproven=True)
+        pair = build_catalog_pair("bit-regular-ara", 0.3, order=400, allow_unproven=True)
         assert pair.check.node.coeffs[:32].sum() == pytest.approx(0.968, abs=0.002)
 
     def test_rate_is_capacity(self):
-        pair = bit_regular_ara(0.25, order=512)
+        pair = build_catalog_pair("bit-regular-ara", 0.25, order=512)
         assert tilting.design_rate(pair) == pytest.approx(0.75, abs=1e-9)
 
     def test_validity_gates(self):
         with pytest.raises(ValidityError):
-            bit_regular_ara(0.3, order=64)  # beyond proven range without the flag
-        bit_regular_ara(0.3, order=64, allow_unproven=True)
+            build_catalog_pair("bit-regular-ara", 0.3, order=64)  # beyond proven range without the flag
+        build_catalog_pair("bit-regular-ara", 0.3, order=64, allow_unproven=True)
         with pytest.raises(ValidityError):
-            bit_regular_ara(0.42, order=64, allow_unproven=True)
+            build_catalog_pair("bit-regular-ara", 0.42, order=64, allow_unproven=True)
 
     def test_check_regular_is_swap(self):
-        cr = check_regular_ara(0.8, order=200)
-        br = bit_regular_ara(0.2, order=200)
+        cr = build_catalog_pair("check-regular-ara", 0.8, order=200)
+        br = build_catalog_pair("bit-regular-ara", 0.2, order=200)
         assert np.allclose(cr.bit.node.coeffs, br.check.node.coeffs, atol=1e-10)
         assert np.allclose(cr.check.node.coeffs[:4], [0, 0, 0, 1])
         chi = tilting.complexity(cr)
         assert chi.chi_encode == pytest.approx(3 + 5 * 0.8 / 0.2, abs=1e-9)
 
     def test_aldpc_bit_regular_shape(self):
-        pair = aldpc_bit_regular(0.75, order=256)
+        pair = build_catalog_pair("bit-regular-aldpc", 0.75, order=256)
         assert np.allclose(pair.bit.edge.coeffs[:4], [0, 0, 1, 0])
         assert tilting.complexity(pair).chi_decode == pytest.approx(24.0, abs=1e-10)
         # edge tail decays like k^(-3/2); at this depth about 5% is uncaptured
         assert pair.check.edge.coeffs.sum() == pytest.approx(1.0, abs=0.06)
 
     def test_aldpc_check_regular_shape(self):
-        pair = aldpc_check_regular(12.0 / 13.0, order=256)
+        pair = build_catalog_pair("check-regular-aldpc", 12.0 / 13.0, order=256)
         assert np.allclose(pair.check.edge.coeffs[:4], [0, 0, 1, 0])
         p = 12.0 / 13.0
         assert tilting.complexity(pair).chi_decode == pytest.approx(
             3 * (1 + p) / (1 - p), abs=1e-9
         )
         with pytest.raises(ValidityError):
-            aldpc_check_regular(0.8, order=64)
+            build_catalog_pair("check-regular-aldpc", 0.8, order=64)
 
     def test_aldpc_nsira_swap_consistency(self):
-        aldpc = aldpc_check_regular(0.93, order=160)
-        nsira = nsira_bit_regular(1.0 - 0.93, order=160)
+        aldpc = build_catalog_pair("check-regular-aldpc", 0.93, order=160)
+        nsira = build_catalog_pair("bit-regular-nsira", 1.0 - 0.93, order=160)
         assert np.allclose(aldpc.bit.node.coeffs, nsira.check.node.coeffs, atol=1e-12)
-        aldpc2 = aldpc_bit_regular(0.6, order=160)
-        nsira2 = nsira_check_regular(0.4, order=160)
+        aldpc2 = build_catalog_pair("bit-regular-aldpc", 0.6, order=160)
+        nsira2 = build_catalog_pair("check-regular-nsira", 0.4, order=160)
         assert np.allclose(aldpc2.check.edge.coeffs, nsira2.bit.edge.coeffs, atol=1e-12)
 
     def test_nsira_bit_regular_gate(self):
-        nsira_bit_regular(1.0 / 13.0, order=64)
+        build_catalog_pair("bit-regular-nsira", 1.0 / 13.0, order=64)
         with pytest.raises(ValidityError):
-            nsira_bit_regular(0.2, order=64)
+            build_catalog_pair("bit-regular-nsira", 0.2, order=64)
 
     def test_cubic_series_matches_pointwise(self):
         for q in (0.2, 0.5, 0.8):
@@ -306,10 +301,10 @@ class TestMatchedCubicComplex:
     @pytest.mark.parametrize(
         "pair",
         [
-            bit_regular_ara(0.2, order=400),
-            bit_regular_ara(0.26, order=400),
-            aldpc_bit_regular(0.3, order=400),
-            nsira_bit_regular(0.07, order=400),  # the cubic at q = 1
+            build_catalog_pair("bit-regular-ara", 0.2, order=400),
+            build_catalog_pair("bit-regular-ara", 0.26, order=400),
+            build_catalog_pair("bit-regular-aldpc", 0.3, order=400),
+            build_catalog_pair("bit-regular-nsira", 0.07, order=400),  # the cubic at q = 1
         ],
         ids=["bit-regular-ara-0.2", "bit-regular-ara-0.26", "aldpc-bit-regular-0.3", "nsira-bit-regular-0.07"],
     )
@@ -353,7 +348,7 @@ class TestSolveCheckFromBit:
     def test_matches_closed_form(self):
         p = 0.2
         sol = solve_check_from_bit(monomial(3, 6), p, order=400)
-        ref = bit_regular_ara(p, order=400)
+        ref = build_catalog_pair("bit-regular-ara", p, order=400)
         assert np.allclose(sol.R.coeffs, ref.check.node.coeffs, atol=1e-12)
         xs = np.linspace(0.0, 0.95, 24)
         want = ref.check_node_fn()(xs)
@@ -382,7 +377,7 @@ class TestSolveCheckFromBit:
         # running the solver at 1-p on the check side reproduces the bit side
         p = 0.8
         sol = solve_check_from_bit(monomial(3, 6), 1.0 - p, order=300)
-        cr = check_regular_ara(p, order=300)
+        cr = build_catalog_pair("check-regular-ara", p, order=300)
         assert np.allclose(sol.R.coeffs, cr.bit.node.coeffs, atol=1e-12)
 
 
@@ -459,3 +454,52 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(InvalidParameterError):
             build_catalog_pair("tornado", 0.5)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_every_record_builds_inside_its_range_only(self, name):
+        # the range read off the record: the self-matched validity region at b,
+        # or the base pair's proven bound, in the family's own p
+        entry, b = CATALOG[name], 0.96
+        if entry.structure == "self-matched":
+            region = validity_region(entry.tag, b)
+            lo, hi = region.lo, region.hi
+        elif entry.proven is None:
+            lo, hi = 0.0, 1.0
+        elif entry.structure == "bit-regular":
+            lo, hi = 0.0, entry.proven
+        else:
+            lo, hi = 1.0 - entry.proven, 1.0
+        edges = [(edge, step) for edge, step in ((lo, -1e-6), (hi, 1e-6)) if 0.0 < edge < 1.0]
+        for p in [0.5 * (lo + hi)] + [edge - step for edge, step in edges]:
+            pair = build_catalog_pair(name, p, b=b, order=64)
+            assert pair.family == entry.tag
+            assert tilting.design_rate(pair) == pytest.approx(1.0 - p, abs=1e-9)
+        for edge, step in edges:
+            with pytest.raises(ValidityError):
+                build_catalog_pair(name, edge + step, b=b, order=64)
+        if not edges:  # the range is all of (0, 1)
+            for p in (0.0, 1.0):
+                with pytest.raises(InvalidParameterError):
+                    build_catalog_pair(name, p, b=b, order=64)
+        if name in ("bit-regular-nsira", "check-regular-aldpc"):
+            with pytest.raises(InvalidParameterError, match="no verifier"):
+                verify_family(name, entry.representative_p, grid_n=2048)
+        else:
+            assert verify_family(name, entry.representative_p, grid_n=2048)["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "name, p, allow_unproven, message",
+        [
+            ("bit-regular-ara", 0.3, False, "p=0.3 beyond the proven bound 0.26"),
+            ("bit-regular-ara", 0.42, True, "p=0.42 beyond the observed bound 0.384"),
+            ("check-regular-ara", 0.7, False, "p=0.7 below the proven bound 0.74"),
+            ("check-regular-ara", 0.5, True, "p=0.5 below the observed bound 0.616"),
+            ("bit-regular-nsira", 0.2, False, "p=0.2 beyond the proven bound 0.0769231"),
+            ("check-regular-aldpc", 0.8, False, "p=0.8 below the proven bound 0.923077"),
+        ],
+        ids=["bit-ara", "bit-ara-unproven", "check-ara", "check-ara-unproven", "bit-nsira", "check-aldpc"],
+    )
+    def test_range_error_names_the_given_p(self, name, p, allow_unproven, message):
+        # the gate is on the base pair's p, the message in the caller's own p
+        with pytest.raises(ValidityError, match=f"^{re.escape(message)}$"):
+            build_catalog_pair(name, p, order=64, allow_unproven=allow_unproven)

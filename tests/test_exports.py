@@ -3,12 +3,16 @@ import types
 import aracodes
 from aracodes import constructions, powerseries, tilting
 
-#: Names that left the package: deleted, or moved into tests/oracles.py.
+#: Names that left the package: deleted, or moved into tests/oracles.py.  The
+#: catalog builds every family through ``build_catalog_pair``.
 GONE = {
     tilting: ["tilt_node", "tilt_edge", "TiltedPair", "puncture", "PunctureResult", "de_iterate", "DEState"],
     constructions: [
         "cmk_table", "CmkTable", "self_matched_coeffs_recursion",
         "AsymptoticParams", "asymptotic_coeffs", "EULER_GAMMA",
+        "self_matched_nsira", "self_matched_aldpc", "bit_regular_ara", "check_regular_ara",
+        "nsira_bit_regular", "aldpc_bit_regular", "nsira_check_regular", "aldpc_check_regular",
+        "_check_regular_image", "VERIFY_SCALES", "VERIFY_CUBIC", "VERIFY_BITREG",
     ],
     powerseries: ["binomial_series"],
 }

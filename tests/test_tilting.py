@@ -183,7 +183,7 @@ class TestEdgeTilt:
         assert np.allclose(rho_fn(xs), xs ** 2, atol=1e-7)
 
     def test_family_routing(self):
-        pair = cons.self_matched_nsira(0.4, order=128)
+        pair = cons.build_catalog_pair("self-matched-nsira", 0.4, order=128)
         lam_fn = tilted_edge(pair, "bit")[1]
         xs = np.linspace(0, 1, 17)
         # NSIRA leaves the bit side untouched
@@ -274,12 +274,12 @@ class TestResidual:
 
 class TestStability:
     def test_no_degree_two_bits_unconditionally_stable(self):
-        pair = cons.bit_regular_ara(0.2, order=128)  # lambda = x^2, no degree-2 bits
+        pair = cons.build_catalog_pair("bit-regular-ara", 0.2, order=128)  # lambda = x^2, no degree-2 bits
         rep = stability(pair)
         assert rep.stable_at_0 and rep.margin_at_0 == 0.0
 
     def test_no_degree_two_checks_not_unstable(self):
-        pair = cons.check_regular_ara(0.8, order=128)  # rho = x^2
+        pair = cons.build_catalog_pair("check-regular-ara", 0.8, order=128)  # rho = x^2
         rep = stability(pair)
         assert not rep.unstable_at_1
 
@@ -316,18 +316,18 @@ class TestRateAndComplexity:
     def test_complexity_closed_forms(self):
         chi = complexity(cons.self_matched_ara(0.5, b=0.9304, order=64))
         assert chi.chi_encode == pytest.approx(8.585, abs=0.01)
-        chi = complexity(cons.check_regular_ara(0.7, order=256, allow_unproven=True))
+        chi = complexity(cons.build_catalog_pair("check-regular-ara", 0.7, order=256, allow_unproven=True))
         assert chi.chi_encode == pytest.approx(3 + 5 * 0.7 / 0.3, abs=1e-9)
-        chi = complexity(cons.nsira_check_regular(0.5, order=256))
+        chi = complexity(cons.build_catalog_pair("check-regular-nsira", 0.5, order=256))
         assert chi.chi_decode == pytest.approx(10.0, abs=1e-12)
-        chi = complexity(cons.aldpc_bit_regular(0.5, order=256))
+        chi = complexity(cons.build_catalog_pair("bit-regular-aldpc", 0.5, order=256))
         assert chi.chi_encode is None
         assert chi.chi_decode == pytest.approx(12.0, abs=1e-12)
 
 
 class TestSymmetrySwap:
     def test_regular_swap_pair(self):
-        pair = cons.bit_regular_ara(0.3, order=200, allow_unproven=True)
+        pair = cons.build_catalog_pair("bit-regular-ara", 0.3, order=200, allow_unproven=True)
         swapped = symmetry_swap(pair)
         assert swapped.family == "ARA"
         assert swapped.p == pytest.approx(0.7)
@@ -343,10 +343,10 @@ class TestSymmetrySwap:
             assert back.p == pytest.approx(pair.p, abs=1e-15)
 
     def test_nsira_aldpc_exchange(self):
-        pair = cons.nsira_check_regular(0.4, order=128)
+        pair = cons.build_catalog_pair("check-regular-nsira", 0.4, order=128)
         swapped = symmetry_swap(pair)
         assert swapped.family == "ALDPC"
-        direct = cons.aldpc_check_regular(0.93, order=128)
+        direct = cons.build_catalog_pair("check-regular-aldpc", 0.93, order=128)
         assert symmetry_swap(direct).family == "NSIRA"
 
     def test_swapped_residual_small(self):
@@ -447,7 +447,7 @@ class TestThresholdSearch:
         return probes
 
     def test_aldpc_evaluates_each_series_once(self, monkeypatch):
-        pair = truncate_pair(cons.self_matched_aldpc(0.5, order=64), 64, 64)
+        pair = truncate_pair(cons.build_catalog_pair("self-matched-aldpc", 0.5, order=64), 64, 64)
         counts = self.counted_calls(monkeypatch, pair)
         series = (pair.check.edge, pair.bit.node, pair.bit.edge)
         assert counts == {id(s): [1, 0] for s in series}
