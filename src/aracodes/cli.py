@@ -21,7 +21,8 @@ def _add_pair_args(sub: argparse.ArgumentParser, builds: bool) -> None:
     """Options naming a catalog pair; ``verify`` builds none, so it gates on no bound."""
     sub.add_argument("--family", required=True, choices=sorted(CATALOG))
     sub.add_argument("--p", type=float, required=True, help="design erasure probability")
-    sub.add_argument("--b", type=_parse_b, default=None, help="series parameter, or 'auto' to solve for it")
+    sub.add_argument("--b", type=_parse_b, default=None,
+                     help="series parameter of the self-matched families, or 'auto' to solve for it")
     unread = "not read by verify; accepted so the design commands share one argument list"
     sub.add_argument("--M", type=int, default=512, help="series truncation depth" if builds else unread)
     if builds:

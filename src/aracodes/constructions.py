@@ -275,15 +275,6 @@ def matched_cubic_edge_fn(q: float) -> Callable:
     return f
 
 
-def matched_cubic_edge_series(q: float, order: int) -> PowerSeries:
-    """Series coefficients of :func:`matched_cubic_edge_fn`.
-
-    The cubic is the matched image of the degree-3-regular bit side
-    tilted at q, so the generic solver produces it.
-    """
-    return matched_image_series(monomial(3, 3), q, order)
-
-
 def _bit_regular_check_fns(family: str, p: float) -> tuple[Callable, Callable]:
     """Exact (node, edge) evaluators of the check side of a bit-regular pair.
 
@@ -484,10 +475,15 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 
-def catalog_entry(name: str) -> CatalogEntry:
+def catalog_entry(name: str, b: Optional[float] = None) -> CatalogEntry:
+    """The record of a family.  b, the series parameter, is refused unless
+    the family is self-matched: no other family reads it."""
     if name not in CATALOG:
         raise InvalidParameterError(f"unknown family {name!r}; choices: {sorted(CATALOG)}")
-    return CATALOG[name]
+    entry = CATALOG[name]
+    if b is not None and entry.structure != "self-matched":
+        raise InvalidParameterError(f"b applies to the self-matched families only, not {name!r}")
+    return entry
 
 
 def build_catalog_pair(
@@ -499,11 +495,12 @@ def build_catalog_pair(
 ) -> DegreePair:
     """Build a catalog pair by name, from its record.
 
-    b reaches only the self-matched families, allow_unproven only the
-    families with an observed bound.  The base pair is gated on its own p;
-    a range error names the p given here and the bound in that p.
+    b applies only to the self-matched families and is refused for the
+    others; allow_unproven reaches only the families with an observed bound.
+    The base pair is gated on its own p; a range error names the p given
+    here and the bound in that p.
     """
-    entry = catalog_entry(name)
+    entry = catalog_entry(name, b)
     if order < 3:
         raise InvalidParameterError("order must be at least 3: the degree-3 families need x^3")
     if entry.structure == "self-matched":

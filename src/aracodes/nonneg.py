@@ -23,7 +23,6 @@ from .constructions import (
     _bit_regular_check_fns,
     catalog_entry,
     matched_check_node_series,
-    matched_cubic_edge_series,
     solve_b,
     validity_region,
 )
@@ -38,9 +37,11 @@ from .tilting import side_erasures
 
 #: Closest approach to the z = 1 singularity on the unit circle.
 X_MIN = 1e-6
-#: Negative second differences (absolute) and integrals (relative to the
-#: candidate's scale) the circle criterion forgives as rounding.
-CONVEXITY_TOL = 1e-9
+#: Negative curvature h'' (absolute) and integrals (relative to the
+#: candidate's scale) the circle criterion forgives as rounding.  The
+#: curvature bound is on h'', not on second differences, which shrink as
+#: the step squared: a concave candidate must not pass on a fine grid.
+CONVEXITY_TOL = 1e-4
 INTEGRAL_TOL = 1e-8
 #: Series terms (coefficients 2 .. 7) stripped from the self-matched candidate.
 SELF_MATCHED_STRIP = 6
@@ -57,7 +58,6 @@ class PolyaCandidate:
 
     fn: Callable[[np.ndarray], np.ndarray]
     head: tuple[float, ...] = ()
-    label: str = ""
 
     def h(self, x: np.ndarray) -> np.ndarray:
         """Real part of the candidate on the circle arc e^{ix}."""
@@ -79,9 +79,10 @@ class ConvexityReport:
 def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityReport:
     """Run the circle criterion: symmetry, convexity, integral, head signs.
 
-    Convexity is tested by central second differences; an apparent
-    violation triggers a 4x refinement pass before it counts, and small
-    persistent violations yield "inconclusive" rather than "fail".
+    Convexity is tested by central second differences, held to
+    CONVEXITY_TOL times the step squared; an apparent violation triggers a
+    4x refinement pass before it counts, and small persistent violations
+    yield "inconclusive" rather than "fail".
     """
     if grid_n < 1024:
         raise InvalidParameterError("grid_n must be at least 1024")
@@ -103,7 +104,8 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
     min_idx = int(np.argmin(d2))
     min_d2 = float(d2[min_idx])
     min_loc = float(xs[min_idx + 1])
-    convex_ok = min_d2 >= -CONVEXITY_TOL
+    d2_tol = CONVEXITY_TOL * (xs[1] - xs[0]) ** 2
+    convex_ok = min_d2 >= -d2_tol
     inconclusive = False
     if not convex_ok:
         # refine around the worst point; rescale by the step ratio squared
@@ -111,7 +113,7 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
         d2r = refined[:-2] - 2.0 * refined[1:-1] + refined[2:]
         min_d2 = float(np.min(d2r)) * 16.0
         min_loc = float(np.linspace(X_MIN, np.pi, 4 * grid_n)[int(np.argmin(d2r)) + 1])
-        if min_d2 >= -CONVEXITY_TOL:
+        if min_d2 >= -d2_tol:
             convex_ok = True
         elif min_d2 >= -1e-6 * scale:
             inconclusive = True
@@ -136,7 +138,7 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
     )
 
 
-def strip_head(fn: Callable, n_terms: int, head: Sequence[float], label: str = "") -> PolyaCandidate:
+def strip_head(fn: Callable, n_terms: int, head: Sequence[float]) -> PolyaCandidate:
     """Remove the leading series terms of a candidate before testing.
 
     The stripped function is (g(z) - sum head_n z^n) / z^(n_terms + 2)
@@ -145,7 +147,7 @@ def strip_head(fn: Callable, n_terms: int, head: Sequence[float], label: str = "
     the function is wrapped unchanged.
     """
     if n_terms == 0:
-        return PolyaCandidate(fn=fn, label=label)
+        return PolyaCandidate(fn=fn)
     head = tuple(float(v) for v in head)
     if len(head) != n_terms:
         raise InvalidParameterError(f"expected {n_terms} head coefficients, got {len(head)}")
@@ -157,7 +159,7 @@ def strip_head(fn: Callable, n_terms: int, head: Sequence[float], label: str = "
             total = total - coeff * z ** n
         return total / z ** (n_terms + 2)
 
-    return PolyaCandidate(fn=stripped, head=head, label=label)
+    return PolyaCandidate(fn=stripped, head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def self_matched_candidate(c: float, order: int = 64) -> PolyaCandidate:
 
     strip = SELF_MATCHED_STRIP
     head = log_ratio_series(c, max(order, strip + 2)).coeffs[2 : strip + 2]
-    return strip_head(g, strip, head, label=f"log-ratio c={c:.4f}")
+    return strip_head(g, strip, head)
 
 
 def tilted_scale(family: str, p: float, b: float) -> float:
@@ -210,46 +212,33 @@ def self_matched_condition(p: float, b: float, family: str) -> bool:
     return bool(region.lo - 1e-12 <= p <= region.hi + 1e-12)
 
 
-def verify_checkreg_nsira(p: float, grid_n: int = 8192) -> ConvexityReport:
-    """Circle criterion on the bit side of the check-regular NSIRA family.
-
-    Expected to pass for every p in (0, 1), which certifies the full
-    validity range of that family (and of the degree-3 bit-regular ALDPC
-    family, whose check side is the same function at 1 - p).
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    fn = _bit_regular_check_fns("ALDPC", 1.0 - p)[1]
-    return polya_verify(PolyaCandidate(fn=fn, label=f"check-regular NSIRA p={p}"), grid_n)
-
-
-def verify_bitreg_ara(p: float, grid_n: int = 8192) -> ConvexityReport:
-    """Circle criterion on R'(z)/z for the bit-regular pair.
+def check_side_candidate(base_tag: str, p: float) -> PolyaCandidate:
+    """R'(z)/z for the check side of the bit-regular pair of family ``base_tag`` at p.
 
     The check node distribution starts at degree 2, so its coefficients
     are non-negative exactly when this quotient has a non-negative
-    expansion.  Passes for p up to roughly the proven 0.26 bound.
+    expansion.  R'(z) = R'(1) rho(z), with rho the pair's untilted check edge
+    function and R'(1) = 3 (1 - p_check) / p_bit its mean check degree.
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    rho = _bit_regular_check_fns("ARA", p)[1]
+    rho = _bit_regular_check_fns(base_tag, p)[1]
+    p_bit, p_check = side_erasures(base_tag, p)
 
     def fn(z):
-        # R'(z) = R'(1) rho(z) with rho the untilted edge function
-        return 3.0 * (1.0 - p) / p * rho(z) / z
+        return 3.0 * (1.0 - p_check) / p_bit * rho(z) / z
 
-    return polya_verify(PolyaCandidate(fn=fn, label=f"bit-regular check side p={p}"), grid_n)
+    return PolyaCandidate(fn=fn)
 
 
 def first_coefficients_min(family: str, p: float, order: int = 200) -> float:
-    """Direct series oracle: minimum of the first coefficients of the tested side."""
+    """Direct series oracle: minimum of the first check node coefficients of
+    the family's bit-regular base pair."""
     entry = catalog_entry(family)
-    p_bit = entry.swap_pair_p(p)[0]
-    if entry.base_tag == "ALDPC":
-        return float(matched_cubic_edge_series(p_bit, order).coeffs.min())
-    if entry.base_tag == "ARA":
-        return float(matched_check_node_series(monomial(3, 3), "ARA", p_bit, order).coeffs.min())
-    raise InvalidParameterError(f"no series oracle for family {family!r}")
+    if entry.base_tag is None:
+        raise InvalidParameterError(f"family {family!r} has no bit-regular base pair")
+    p_base = entry.swap_pair_p(p)[0]
+    return float(matched_check_node_series(monomial(3, 3), entry.base_tag, p_base, order).coeffs.min())
 
 
 def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int = 8192) -> dict:
@@ -257,12 +246,12 @@ def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int 
 
     The route comes from the family's record.  Self-matched families get the
     closed-form condition, plus the circle criterion and the series oracle
-    on the log-ratio candidate at :func:`tilted_scale`.  A degree-3 family
-    gets the circle criterion and the direct series oracle for its
-    bit-regular base pair: on R'(z)/z of the bit-regular ARA pair, or on
-    the matched cubic for an ALDPC base pair.  An NSIRA base pair has none.
+    on the log-ratio candidate at :func:`tilted_scale`; b reaches only them.
+    A degree-3 family gets the circle criterion on
+    :func:`check_side_candidate` and the direct series oracle, both on the
+    check side of its bit-regular base pair.
     """
-    entry = catalog_entry(family)
+    entry = catalog_entry(family, b)
     doc = {"family": family, "p": p}
     if entry.structure == "self-matched":
         b = solve_b(p) if b is None else b
@@ -271,13 +260,7 @@ def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int 
         report = polya_verify(self_matched_candidate(c), grid_n=grid_n)
         series_min = float(log_ratio_series(c, 200).coeffs.min())
     else:
-        p_bit, p_check = entry.swap_pair_p(p)
-        if entry.base_tag == "ARA":
-            report = verify_bitreg_ara(p_bit, grid_n=grid_n)
-        elif entry.base_tag == "ALDPC":
-            report = verify_checkreg_nsira(p_check, grid_n=grid_n)
-        else:
-            raise InvalidParameterError(f"no verifier for family {family!r}")
+        report = polya_verify(check_side_candidate(entry.base_tag, entry.swap_pair_p(p)[0]), grid_n=grid_n)
         series_min = first_coefficients_min(family, p)
     doc.update(
         verdict=report.verdict,

@@ -76,8 +76,12 @@ class SimResult:
     trials_run: list[int] = field(default_factory=list)
     peel_bit_rates: list[float] = field(default_factory=list)  # peeling alone, before the outer stage
     peel_word_rates: list[float] = field(default_factory=list)
-    skipped: list[bool] = field(default_factory=list)
     wall_time: float = 0.0
+
+    @property
+    def skipped(self) -> list[bool]:
+        """Whether each sweep point was skipped: an invalid point runs no trials."""
+        return [t == 0 for t in self.trials_run]
 
     def rows(self) -> list[tuple]:
         return list(
@@ -234,7 +238,6 @@ def run_sweep(cfg: SimConfig) -> SimResult:
                        peel_bit_fails / info_bits, (word_fails + rescued) / n)
             for column, value in zip(columns, row):
                 column.append(value)
-            result.skipped.append(row[5] == 0)
 
     result.wall_time = time.time() - t_start
     return result

@@ -16,11 +16,11 @@ from aracodes.constructions import (
     CATALOG,
     C_STAR,
     build_catalog_pair,
-    matched_cubic_edge_series,
+    matched_image_series,
     self_matched_ara,
     solve_b,
 )
-from aracodes.powerseries import DegreeDistribution, DegreePair, PowerSeries
+from aracodes.powerseries import DegreeDistribution, DegreePair, PowerSeries, monomial
 from oracles import AsymptoticParams, asymptotic_coeffs, cmk_table
 
 
@@ -83,7 +83,7 @@ def test_criterion_03_partial_sums():
     pair = self_matched_ara(0.5, order=256)
     crossing = int(np.argmax(np.cumsum(pair.bit.edge.coeffs) > 0.95)) + 1
     assert crossing == 29
-    lam = matched_cubic_edge_series(0.5, 1200)  # check-regular NSIRA bit side at p = 1/2
+    lam = matched_image_series(monomial(3, 3), 0.5, 1200)  # check-regular NSIRA bit side at p = 1/2
     sums = np.cumsum(lam.coeffs)
     nsira_crossing = int(np.argmax(sums > 0.95)) + 1
     assert sums[299] <= 0.95

@@ -131,6 +131,36 @@ class TestVerify:
         assert doc["verdict"] == "pass"
 
 
+DEGREE_3 = sorted(name for name, entry in CATALOG.items() if entry.structure != "self-matched")
+
+
+class TestBRefused:
+    @pytest.mark.parametrize("command", ["construct", "de", "verify"])
+    @pytest.mark.parametrize("family", DEGREE_3)
+    def test_b_refused_for_degree_3_families(self, capsys, family, command):
+        p = repr(CATALOG[family].representative_p)
+        code, out, err = run_cli(capsys, command, "--family", family, "--p", p, "--b", "0.95", "--M", "16")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: b applies to the self-matched families only, not {family!r}\n"
+
+    def test_b_auto_is_no_b(self, capsys):
+        argv = ["construct", "--family", "bit-regular-ara", "--p", "0.2", "--M", "16"]
+        assert run_cli(capsys, *argv, "--b", "auto") == run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("design_p", [None, "0.2"])
+    def test_simulate_refuses_b(self, capsys, tmp_path, design_p):
+        out_csv = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", "bit-regular-ara", "--p-start", "0.2", "--p-stop", "0.2",
+            "--p-step", "0.05", "--k", "64", "--trials", "2", "--b", "0.95", "--out", str(out_csv),
+            *(["--design-p", design_p] if design_p else []),
+        )
+        assert code == 2
+        assert out == "" and not out_csv.exists()
+        assert err == "error: b applies to the self-matched families only, not 'bit-regular-ara'\n"
+
+
 class TestParserReuse:
     CALLS = [
         ["construct", "--family", "self-matched-ara", "--p", "0.5", "--M", "64"],

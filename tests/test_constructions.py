@@ -11,7 +11,6 @@ from aracodes.constructions import (
     build_catalog_pair,
     lambert_w0,
     matched_cubic_edge_fn,
-    matched_cubic_edge_series,
     matched_image_series,
     self_matched_ara,
     solve_b,
@@ -250,7 +249,7 @@ class TestRegularFamilies:
 
     def test_cubic_series_matches_pointwise(self):
         for q in (0.2, 0.5, 0.8):
-            series = matched_cubic_edge_series(q, 300)
+            series = matched_image_series(monomial(3, 3), q, 300)
             fn = matched_cubic_edge_fn(q)
             xs = np.linspace(0.0, 0.8, 30)
             assert np.allclose(series(xs), fn(xs), atol=1e-10)
@@ -459,7 +458,8 @@ class TestCatalog:
     def test_every_record_builds_inside_its_range_only(self, name):
         # the range read off the record: the self-matched validity region at b,
         # or the base pair's proven bound, in the family's own p
-        entry, b = CATALOG[name], 0.96
+        entry = CATALOG[name]
+        b = 0.96 if entry.structure == "self-matched" else None  # refused for the degree-3 families
         if entry.structure == "self-matched":
             region = validity_region(entry.tag, b)
             lo, hi = region.lo, region.hi
@@ -481,11 +481,11 @@ class TestCatalog:
             for p in (0.0, 1.0):
                 with pytest.raises(InvalidParameterError):
                     build_catalog_pair(name, p, b=b, order=64)
+        verdict = verify_family(name, entry.representative_p, grid_n=2048)["verdict"]
         if name in ("bit-regular-nsira", "check-regular-aldpc"):
-            with pytest.raises(InvalidParameterError, match="no verifier"):
-                verify_family(name, entry.representative_p, grid_n=2048)
+            assert verdict != "pass"  # R'(z)/z of the NSIRA base pair is not convex
         else:
-            assert verify_family(name, entry.representative_p, grid_n=2048)["verdict"] == "pass"
+            assert verdict == "pass"
 
     @pytest.mark.parametrize(
         "name, p, allow_unproven, message",

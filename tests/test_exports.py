@@ -1,7 +1,7 @@
 import types
 
 import aracodes
-from aracodes import constructions, powerseries, tilting
+from aracodes import constructions, nonneg, powerseries, tilting
 
 #: Names that left the package: deleted, or moved into tests/oracles.py.  The
 #: catalog builds every family through ``build_catalog_pair``.
@@ -13,7 +13,9 @@ GONE = {
         "self_matched_nsira", "self_matched_aldpc", "bit_regular_ara", "check_regular_ara",
         "nsira_bit_regular", "aldpc_bit_regular", "nsira_check_regular", "aldpc_check_regular",
         "_check_regular_image", "VERIFY_SCALES", "VERIFY_CUBIC", "VERIFY_BITREG",
+        "matched_cubic_edge_series",
     ],
+    nonneg: ["verify_bitreg_ara", "verify_checkreg_nsira"],
     powerseries: ["binomial_series"],
 }
 

@@ -3,20 +3,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from aracodes.constructions import C_STAR, build_catalog_pair, solve_b
+from aracodes.constructions import CATALOG, C_STAR, build_catalog_pair, matched_check_node_series, solve_b
 from aracodes.nonneg import (
     PolyaCandidate,
+    check_side_candidate,
     first_coefficients_min,
     log_ratio_series,
     polya_verify,
     self_matched_candidate,
     self_matched_condition,
     strip_head,
-    verify_bitreg_ara,
-    verify_checkreg_nsira,
     verify_family,
 )
-from aracodes.powerseries import InvalidParameterError, t_operator
+from aracodes.powerseries import InvalidParameterError, monomial, t_operator
 
 from oracles import alt_fixed_point_fn, alt_self_matched_probe
 
@@ -27,11 +26,20 @@ class TestPolyaVerify:
     def test_known_positive_log_candidate(self):
         # all-positive coefficients 1/k; the criterion needs the z = 1
         # singularity (entire candidates have h''(0) = -sum k^2 g_k < 0)
-        cand = PolyaCandidate(fn=lambda z: -np.log(1.0 - z), label="log")
+        cand = PolyaCandidate(fn=lambda z: -np.log(1.0 - z))
         assert polya_verify(cand, GRID).verdict == "pass"
 
+    def test_concave_candidate_fails_on_every_grid(self):
+        # -log(1 - z) + 0.1 z^2 has positive coefficients, but h'' = 1/4 - 0.4
+        # at pi: the criterion does not hold, however fine the grid
+        cand = PolyaCandidate(fn=lambda z: -np.log(1.0 - z) + 0.1 * z**2)
+        for grid_n in (GRID, 65536, 262144):
+            report = polya_verify(cand, grid_n)
+            assert report.verdict != "pass"
+            assert report.min_location > 3.0
+
     def test_entire_candidates_cannot_pass(self):
-        cand = PolyaCandidate(fn=lambda z: 1.0 / (1.0 - z / 2.0), label="geometric")
+        cand = PolyaCandidate(fn=lambda z: 1.0 / (1.0 - z / 2.0))
         report = polya_verify(cand, GRID)
         assert report.verdict == "fail" and report.min_location < 0.01
 
@@ -147,30 +155,47 @@ class TestFamilyVerifiers:
     )
     def test_checkreg_nsira_passes(self, p, grid_n):
         # the integral includes the sliver [0, X_MIN] the grid leaves out
-        report = verify_checkreg_nsira(p, grid_n)
-        assert report.verdict == "pass"
-        assert report.integral > 0.0
+        doc = verify_family("check-regular-nsira", p, grid_n=grid_n)
+        assert doc["verdict"] == "pass"
+        assert doc["integral"] > 0.0
 
     @pytest.mark.parametrize("p", [0.2, 0.26])
     def test_bitreg_ara_passes(self, p):
-        assert verify_bitreg_ara(p, GRID).verdict == "pass"
+        assert verify_family("bit-regular-ara", p, grid_n=GRID)["verdict"] == "pass"
 
     def test_bitreg_ara_breaks_down(self):
         for grid_n in (GRID, 8192):
-            assert verify_bitreg_ara(0.45, grid_n).verdict in ("fail", "inconclusive")
+            assert verify_family("bit-regular-ara", 0.45, grid_n=grid_n)["verdict"] in ("fail", "inconclusive")
+
+    @staticmethod
+    def report_fields(report):
+        return [report.verdict, report.min_second_difference, report.integral, report.head_min]
+
+    @staticmethod
+    def doc_fields(doc):
+        return [doc["verdict"], doc["min_second_difference"], doc["integral"], doc["head_min"]]
 
     def test_checkreg_nsira_tests_the_family_bit_side(self):
-        # the verifier reads the construction's own evaluator, at 1 - p
+        # the route reads the construction's own evaluator, at 1 - p: the bit
+        # edge of check-regular NSIRA is the check edge of bit-regular ALDPC,
+        # whose R'(1) = 3 (1 - 0) / (1 - p)
         p = 0.3
-        fn = build_catalog_pair("check-regular-nsira", p, order=16).bit_edge_fn()
-        assert verify_checkreg_nsira(p, GRID) == polya_verify(PolyaCandidate(fn=fn), GRID)
+        lam = build_catalog_pair("check-regular-nsira", p, order=16).bit_edge_fn()
+        fn = lambda z: 3.0 * (1.0 - 0.0) / (1.0 - p) * lam(z) / z
+        report = polya_verify(PolyaCandidate(fn=fn), GRID)
+        assert polya_verify(check_side_candidate("ALDPC", 1.0 - p), GRID) == report
+        doc = verify_family("check-regular-nsira", p, grid_n=GRID)
+        assert self.doc_fields(doc) == self.report_fields(report)
 
     def test_bitreg_ara_tests_the_family_check_side(self):
         # R'(z)/z = R'(1) rho(z)/z with R'(1) = 3(1-p)/p and rho the pair's check edge
         p = 0.2
         rho = build_catalog_pair("bit-regular-ara", p, order=16).check_edge_fn()
         fn = lambda z: 3.0 * (1.0 - p) / p * rho(z) / z
-        assert verify_bitreg_ara(p, GRID) == polya_verify(PolyaCandidate(fn=fn), GRID)
+        report = polya_verify(PolyaCandidate(fn=fn), GRID)
+        assert polya_verify(check_side_candidate("ARA", p), GRID) == report
+        doc = verify_family("bit-regular-ara", p, grid_n=GRID)
+        assert self.doc_fields(doc) == self.report_fields(report)
 
     def test_family_report_uses_swapped_p(self):
         # the swap images are certified by the same function at 1 - p
@@ -201,19 +226,58 @@ class TestFamilyVerifiers:
         assert doc["first_200_coeff_min"] == pytest.approx(series_min, abs=1e-4)
 
     def test_family_without_verifier(self):
-        with pytest.raises(InvalidParameterError):
-            verify_family("bit-regular-nsira", 0.07)
+        # the NSIRA base pair gets a report, but its R'(z)/z is concave on part
+        # of the arc (h'' about -0.5 at base p 0.07): the criterion cannot
+        # certify it, and the series oracle shows the coefficients non-negative
+        for family, p in (("bit-regular-nsira", 0.07), ("check-regular-aldpc", 0.93)):
+            doc = verify_family(family, p)
+            assert doc["verdict"] != "pass"
+            assert doc["first_200_coeff_min"] >= -1e-12
+
+    @pytest.mark.parametrize("p", [0.05, 0.2])
+    def test_concave_family_does_not_pass_on_a_fine_grid(self, p):
+        # a second difference shrinks as the step squared; the curvature bound
+        # must not, or h'' of -0.19 (p 0.05) or -6.6 (p 0.2) reads "pass"
+        for grid_n in (2048, 65536):
+            assert verify_family("bit-regular-nsira", p, grid_n=grid_n)["verdict"] != "pass"
 
     def test_oracle_equivalence(self):
         # whenever the circle criterion passes, direct extraction agrees
         cases = [
-            ("check-regular-nsira", 0.5, verify_checkreg_nsira),
-            ("check-regular-nsira", 0.9, verify_checkreg_nsira),
-            ("bit-regular-ara", 0.2, verify_bitreg_ara),
+            ("check-regular-nsira", 0.5),
+            ("check-regular-nsira", 0.9),
+            ("bit-regular-ara", 0.2),
         ]
-        for family, p, verifier in cases:
-            assert verifier(p, GRID).verdict == "pass"
+        for family, p in cases:
+            assert verify_family(family, p, grid_n=GRID)["verdict"] == "pass"
             assert first_coefficients_min(family, p, order=200) >= -1e-9
+
+    @pytest.mark.parametrize("grid_n", [2048, 8192, 16384])
+    @pytest.mark.parametrize("family", sorted(n for n, e in CATALOG.items() if e.structure != "self-matched"))
+    def test_integral_is_bounded_away_from_zero(self, family, grid_n):
+        # the integral of Re R'(e^{ix})/e^{ix} over [0, pi] is pi R'(z)/z at 0,
+        # that is 2 pi R_2: bounded away from 0, not left to quadrature rounding
+        entry = CATALOG[family]
+        p = entry.representative_p
+        r2 = matched_check_node_series(monomial(3, 3), entry.base_tag, entry.swap_pair_p(p)[0], 8).coeffs[2]
+        integral = verify_family(family, p, grid_n=grid_n)["integral"]
+        assert integral == pytest.approx(2.0 * np.pi * r2, rel=1e-3)
+        assert integral > 0.1
+
+    @pytest.mark.parametrize("family, p", [("bit-regular-nsira", 0.07), ("check-regular-aldpc", 0.93)])
+    def test_nsira_base_series_sign_turns_at_the_bound(self, family, p):
+        # the series oracle reproduces the proven 1/13 bound of the NSIRA base pair
+        base = lambda q: q if family == "bit-regular-nsira" else 1.0 - q
+        assert first_coefficients_min(family, p) >= -1e-12
+        assert first_coefficients_min(family, base(1.0 / 13.0)) >= -1e-12
+        assert first_coefficients_min(family, base(0.1)) < 0.0
+
+    def test_candidate_needs_p_inside_the_unit_interval(self):
+        for p in (0.0, 1.0):
+            with pytest.raises(InvalidParameterError):
+                check_side_candidate("ARA", p)
+        with pytest.raises(InvalidParameterError, match="no bit-regular base pair"):
+            first_coefficients_min("self-matched-ara", 0.5)
 
     def test_derivative_flat_at_pi(self):
         # passing candidates have h'(pi) = 0: the imaginary part of g'(-1)

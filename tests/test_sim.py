@@ -174,6 +174,13 @@ class TestSweep:
         assert res.skipped[-1]  # beyond the observed validity bound
         assert not res.skipped[0]
         assert np.isnan(res.word_rates[-1])
+        assert res.skipped == [t == 0 for t in res.trials_run]
+
+    def test_skipped_is_read_off_trials_run(self):
+        res = SimResult(config=small_config(), trials_run=[5, 0, 3])
+        assert res.skipped == [False, True, False]
+        with pytest.raises(AttributeError):
+            res.skipped = [True]
 
     def test_block_length_improvement(self):
         base = dict(p_start=0.42, p_stop=0.42, p_step=0.01, trials=60, m_outer=0, d_L=24, d_R=24)
