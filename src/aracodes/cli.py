@@ -138,8 +138,8 @@ def _parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--k", type=int, required=True)
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--design-p", type=float, default=None,
-                       help="fix the code design at this erasure probability")
+    p_sim.add_argument("--design-p", type=float, required=True,
+                       help="erasure probability the one code of the sweep is designed at")
     p_sim.add_argument("--alpha", type=float, default=1.0)
     p_sim.add_argument("--outer-m", type=int, default=0)
     p_sim.add_argument("--d-l", type=int, default=30)

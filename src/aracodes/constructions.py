@@ -231,7 +231,8 @@ def self_matched_ara(p: float, b: Optional[float] = None, order: int = DEFAULT_O
     """Self-matched ARA pair: both reduced sides equal (1-b)x/(1-bx).
 
     At p = 1/2 the bit and check sides coincide.  Tails decay like b^k,
-    so moderate truncation depths capture almost all the mass.
+    so moderate truncation depths capture almost all the mass.  A shortcut
+    for ``build_catalog_pair("self-matched-ara", p, b, order)``.
     """
     return _self_matched("ARA", p, b, order)
 
@@ -289,7 +290,9 @@ def _bit_regular(family: str, p: float, order: int) -> DegreePair:
     """Pair of one family with all punctured bits of degree 3.
 
     The check side is the untilted matched image of x^3; series come from
-    the generic solver, evaluators from the closed-form cubic.
+    the generic solver (``matched_image_series(monomial(3, 3), q, order)``
+    is the degree-3 cubic series), evaluators from the closed-form cubic
+    :func:`matched_cubic_edge_fn`.
     """
     p_bit, p_check = side_erasures(family, p)
     return DegreePair(
@@ -405,9 +408,10 @@ def matched_check_node_series(L: PowerSeries, family: str, p: float, order: int 
     """Check node series matched to polynomial bit side L by the family's graph reduction at p.
 
     The matched image of L tilted at the family's bit-side erasure,
-    integrated and untilted at its check-side erasure.  Not gated: negative
-    coefficients appear for p beyond a family's validity range, which is
-    the regime the non-negativity verifier probes.
+    integrated and untilted at its check-side erasure.  It is the check side
+    of :func:`solve_check_from_bit` and of the series oracle in ``nonneg``.
+    Not gated: negative coefficients appear for p beyond a family's validity
+    range, which is the regime the non-negativity verifier probes.
     """
     p_bit, p_check = side_erasures(family, p)
     return untilt_node(_image_node_series(L, p_bit, order)[0], "check", p_check)

@@ -12,7 +12,7 @@ coefficients that were stripped off to make the remainder convex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy  # scipy.integrate loads lazily, on the first Pólya integral
@@ -138,30 +138,6 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
     )
 
 
-def strip_head(fn: Callable, n_terms: int, head: Sequence[float]) -> PolyaCandidate:
-    """Remove the leading series terms of a candidate before testing.
-
-    The stripped function is (g(z) - sum head_n z^n) / z^(n_terms + 2)
-    with head covering coefficients 2 .. n_terms + 1; the head values are
-    recorded on the candidate for separate sign checks.  With zero terms
-    the function is wrapped unchanged.
-    """
-    if n_terms == 0:
-        return PolyaCandidate(fn=fn)
-    head = tuple(float(v) for v in head)
-    if len(head) != n_terms:
-        raise InvalidParameterError(f"expected {n_terms} head coefficients, got {len(head)}")
-
-    def stripped(z):
-        z = np.asarray(z, dtype=complex)
-        total = fn(z).astype(complex)
-        for n, coeff in enumerate(head, start=2):
-            total = total - coeff * z ** n
-        return total / z ** (n_terms + 2)
-
-    return PolyaCandidate(fn=stripped, head=head)
-
-
 # ---------------------------------------------------------------------------
 # candidates from the construction catalog
 # ---------------------------------------------------------------------------
@@ -178,18 +154,26 @@ def log_ratio_series(c: float, order: int) -> PowerSeries:
 def self_matched_candidate(c: float, order: int = 64) -> PolyaCandidate:
     """The stripped log-ratio candidate behind the self-matched families.
 
-    The head sign flips exactly at c = (13 - sqrt(61)) / 9, which is what
-    pins the validity region of those constructions.
+    The log ratio g(z) = N / (1 + c N), N = -z - ln(1-z), starts at z^2.
+    Its head, the coefficients 2 .. SELF_MATCHED_STRIP + 1, is removed
+    before testing: the candidate is (g(z) - sum head_n z^n) /
+    z^(SELF_MATCHED_STRIP + 2), and the head values are recorded on it for
+    separate sign checks.  The head sign flips exactly at
+    c = (13 - sqrt(61)) / 9, which is what pins the validity region of
+    those constructions.
     """
+    strip = SELF_MATCHED_STRIP
+    head = tuple(float(v) for v in log_ratio_series(c, max(order, strip + 2)).coeffs[2 : strip + 2])
 
-    def g(z):
+    def stripped(z):
         z = np.asarray(z, dtype=complex)
         n = -z - np.log(1.0 - z)
-        return n / (1.0 + c * n)
+        total = n / (1.0 + c * n)
+        for power, coeff in enumerate(head, start=2):
+            total = total - coeff * z ** power
+        return total / z ** (strip + 2)
 
-    strip = SELF_MATCHED_STRIP
-    head = log_ratio_series(c, max(order, strip + 2)).coeffs[2 : strip + 2]
-    return strip_head(g, strip, head)
+    return PolyaCandidate(fn=stripped, head=head)
 
 
 def tilted_scale(family: str, p: float, b: float) -> float:
@@ -219,6 +203,9 @@ def check_side_candidate(base_tag: str, p: float) -> PolyaCandidate:
     are non-negative exactly when this quotient has a non-negative
     expansion.  R'(z) = R'(1) rho(z), with rho the pair's untilted check edge
     function and R'(1) = 3 (1 - p_check) / p_bit its mean check degree.
+    rho is the constructions' own check edge evaluator, read on the unit
+    circle, and the integral of the candidate over [0, pi] is 2 pi R_2,
+    bounded away from 0.
     """
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
@@ -249,7 +236,11 @@ def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int 
     on the log-ratio candidate at :func:`tilted_scale`; b reaches only them.
     A degree-3 family gets the circle criterion on
     :func:`check_side_candidate` and the direct series oracle, both on the
-    check side of its bit-regular base pair.
+    check side of its bit-regular base pair.  The NSIRA base pair's R'(z)/z
+    is not convex on part of the arc (h'' about -0.5 at base p 0.07), so the
+    circle criterion does not pass bit-regular NSIRA or check-regular ALDPC;
+    their series minimum is non-negative up to the proven 1/13 bound and
+    turns negative by 0.1.
     """
     entry = catalog_entry(family, b)
     doc = {"family": family, "p": p}

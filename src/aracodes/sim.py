@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from .constructions import build_catalog_pair, catalog_entry
-from .powerseries import InvalidParameterError, ValidityError
+from .constructions import build_catalog_pair
+from .powerseries import InvalidParameterError
 
 WORKER_ENV = "ARACODES_WORKERS"
 
@@ -34,13 +34,13 @@ class SimConfig:
     p_stop: float
     p_step: float
     k: int
+    design_p: float  # the one code of the sweep is designed at this erasure probability
     trials: int = 1000
     seed: int = 0
     d_L: int = 30
     d_R: int = 30
     m_outer: int = 0
     alpha: float = 1.0
-    design_p: Optional[float] = None  # None: redesign the code at every sweep point
     b: Optional[float] = None
     order: int = 256
     allow_unproven: bool = True
@@ -55,6 +55,8 @@ class SimConfig:
             raise InvalidParameterError("p_stop must not lie below p_start")
         if self.p_step <= 0.0:
             raise InvalidParameterError("p_step must be positive")
+        if not (isinstance(self.design_p, (int, float)) and 0.0 < self.design_p < 1.0):
+            raise InvalidParameterError("design_p must lie in (0, 1)")
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidParameterError("alpha must lie in (0, 1]")
         if self.workers < 0:
@@ -62,7 +64,7 @@ class SimConfig:
 
     def p_values(self) -> np.ndarray:
         n = int(np.floor((self.p_stop - self.p_start) / self.p_step + 1e-9)) + 1
-        return self.p_start + self.p_step * np.arange(max(n, 0))
+        return self.p_start + self.p_step * np.arange(n)
 
 
 @dataclass
@@ -80,7 +82,7 @@ class SimResult:
 
     @property
     def skipped(self) -> list[bool]:
-        """Whether each sweep point was skipped: an invalid point runs no trials."""
+        """Whether each sweep point ran no trials; ``run_sweep`` runs every point."""
         return [t == 0 for t in self.trials_run]
 
     def rows(self) -> list[tuple]:
@@ -184,28 +186,20 @@ def _worker_count(cfg: SimConfig) -> int:
         raise InvalidParameterError(f"{WORKER_ENV} must be an integer, not {env!r}") from None
 
 
-def _realize(cfg: SimConfig, p: float) -> tuple[codec.CodeInstance, Optional[np.ndarray]]:
-    """The code instance designed at p and its puncture mask (None without puncturing)."""
-    pair = build_catalog_pair(cfg.family, p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven)
-    inst = codec.instantiate(pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed)
-    return inst, make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
-
-
 def run_sweep(cfg: SimConfig) -> SimResult:
-    """Monte Carlo sweep over the configured channel range.
+    """Monte Carlo sweep of one code over the configured channel range.
 
-    With ``design_p`` set, one code is built at that design point and the
-    channel alone varies; otherwise the code is redesigned at every sweep
-    point, and points where the construction is invalid are skipped.
-    Only ARA families have a finite-length realization; any other family
-    is rejected before the first point.
+    The code is built once, at ``design_p``, before the first trial, and
+    the channel alone varies.  A build error propagates: only ARA families
+    have a finite-length realization, so ``codec.instantiate`` rejects any
+    other family.
     """
-    if catalog_entry(cfg.family).tag != "ARA":
-        raise InvalidParameterError(f"simulation covers ARA families only, not {cfg.family!r}")
     t_start = time.time()
     result = SimResult(config=cfg)
     workers = _worker_count(cfg)
-    fixed = _realize(cfg, cfg.design_p) if cfg.design_p is not None else None
+    pair = build_catalog_pair(cfg.family, cfg.design_p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven)
+    inst = codec.instantiate(pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed)
+    mask = make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
     columns = (
         result.p_values, result.bit_rates, result.word_rates,
         result.unresolved_means, result.outer_rescue_rates, result.trials_run,
@@ -221,21 +215,16 @@ def run_sweep(cfg: SimConfig) -> SimResult:
         if use_pool
         else contextlib.nullcontext()
     )
+    n, info_bits = cfg.trials, cfg.trials * inst.info_len
     with pool:
         run = pool.map if use_pool else map
         for p_index, p in enumerate(cfg.p_values()):
             p = float(p)
-            try:
-                inst, mask = fixed or _realize(cfg, p)
-            except (ValidityError, codec.ConstructionError):
-                row = (p, *[float("nan")] * 4, 0, float("nan"), float("nan"))
-            else:
-                batch = functools.partial(_trial_batch, inst, cfg, p, p_index, puncture_mask=mask)
-                parts = run(batch, bounds[:-1], bounds[1:])
-                word_fails, rescued, unresolved, bit_fails, peel_bit_fails = map(sum, zip(*parts))
-                n, info_bits = cfg.trials, max(cfg.trials * inst.info_len, 1)
-                row = (p, bit_fails / info_bits, word_fails / n, unresolved / n, rescued / n, n,
-                       peel_bit_fails / info_bits, (word_fails + rescued) / n)
+            batch = functools.partial(_trial_batch, inst, cfg, p, p_index, puncture_mask=mask)
+            parts = run(batch, bounds[:-1], bounds[1:])
+            word_fails, rescued, unresolved, bit_fails, peel_bit_fails = map(sum, zip(*parts))
+            row = (p, bit_fails / info_bits, word_fails / n, unresolved / n, rescued / n, n,
+                   peel_bit_fails / info_bits, (word_fails + rescued) / n)
             for column, value in zip(columns, row):
                 column.append(value)
 

@@ -24,6 +24,7 @@ from .powerseries import (
     NumericDomainError,
     PowerSeries,
     TILTED_SIDES,
+    ValidityError,
     truncate_bit,
     truncate_check,
 )
@@ -119,7 +120,8 @@ def side_erasures(family: str, p: float) -> tuple[float, float]:
 
     A side the family's graph reduction leaves as is is tilted at its
     identity erasure, where (a, w) = (1, 0): p = 1 on the bit side, p = 0
-    on the check side.
+    on the check side.  The tilt returns its input there, so every consumer
+    tilts both sides with no family branch.
     """
     bit, check = _accumulated(family)
     return p if bit else 1.0, p if check else 0.0
@@ -222,11 +224,16 @@ def design_rate(pair: DegreePair) -> float:
     carries one information bit, less one per check when the check side has
     no accumulator (ALDPC: the checks constrain the transmitted bits
     directly).  An accumulated bit side transmits one bit per punctured bit,
-    an accumulated check side one parity bit per check.
+    an accumulated check side one parity bit per check.  A rate at or below
+    zero (an ALDPC pair with more checks than punctured bits, as a deep
+    truncation leaves) carries no information and raises ``ValidityError``.
     """
     ratio = pair.bit.mean / pair.check.mean  # checks per punctured bit; DegreePair keeps it finite and positive
     bit, check = _accumulated(pair.family)
-    return (1.0 - (not check) * ratio) / (bit + check * ratio)
+    rate = (1.0 - (not check) * ratio) / (bit + check * ratio)
+    if rate <= 0.0:
+        raise ValidityError(f"design rate {rate:.6g} of the {pair.family} pair is not positive")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -242,6 +249,7 @@ def complexity(pair: DegreePair) -> ComplexityReport:
     three per punctured bit on the bit side, two per parity bit on the
     check side.  ALDPC encoding is graph-dependent (it can be quadratic
     without preprocessing), so only the decoding count is reported there.
+    A pair whose design rate is not positive raises ``ValidityError``.
     """
     rate = design_rate(pair)
     mean = pair.bit.mean

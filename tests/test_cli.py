@@ -148,13 +148,13 @@ class TestBRefused:
         argv = ["construct", "--family", "bit-regular-ara", "--p", "0.2", "--M", "16"]
         assert run_cli(capsys, *argv, "--b", "auto") == run_cli(capsys, *argv)
 
-    @pytest.mark.parametrize("design_p", [None, "0.2"])
+    @pytest.mark.parametrize("design_p", ["0.2"])
     def test_simulate_refuses_b(self, capsys, tmp_path, design_p):
         out_csv = tmp_path / "sweep.csv"
         code, out, err = run_cli(
             capsys, "simulate", "--family", "bit-regular-ara", "--p-start", "0.2", "--p-stop", "0.2",
             "--p-step", "0.05", "--k", "64", "--trials", "2", "--b", "0.95", "--out", str(out_csv),
-            *(["--design-p", design_p] if design_p else []),
+            "--design-p", design_p,
         )
         assert code == 2
         assert out == "" and not out_csv.exists()
@@ -241,7 +241,8 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main([
                 "simulate", "--family", "self-matched-ara", "--p-start", "0.35", "--p-stop", "0.4",
-                "--p-step", "0.05", "--k", "64", "--no-outer", "--out", str(tmp_path / "x.csv"),
+                "--p-step", "0.05", "--k", "64", "--design-p", "0.5", "--no-outer",
+                "--out", str(tmp_path / "x.csv"),
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments: --no-outer" in capsys.readouterr().err
@@ -251,7 +252,7 @@ class TestSimulate:
         code, _, err = run_cli(
             capsys, "simulate", "--family", "self-matched-nsira",
             "--p-start", "0.35", "--p-stop", "0.4", "--p-step", "0.05",
-            "--k", "256", "--trials", "2", "--out", str(out_path),
+            "--k", "256", "--trials", "2", "--design-p", "0.5", "--out", str(out_path),
         )
         assert code == 2
         assert "ARA" in err
@@ -283,11 +284,12 @@ class TestSimulate:
         "extra",
         [
             ["--k", "64", "--outer-m", "-1", "--design-p", "0.5"],
-            ["--k", "64", "--outer-m", "100"],
-            ["--k", "0", "--trials", "3"],
-            ["--k", "64", "--p-start", "0.5", "--p-stop", "0.4"],
+            ["--k", "64", "--outer-m", "100", "--design-p", "0.5"],
+            ["--k", "0", "--trials", "3", "--design-p", "0.5"],
+            ["--k", "64", "--p-start", "0.5", "--p-stop", "0.4", "--design-p", "0.5"],
+            ["--k", "64", "--design-p", "0.5", "--b", "0.9"],  # below the minimal b: no valid code
         ],
-        ids=["negative-outer", "outer-beyond-k", "k-zero", "reversed-range"],
+        ids=["negative-outer", "outer-beyond-k", "k-zero", "reversed-range", "invalid-design"],
     )
     def test_empty_configurations_exit_2(self, capsys, tmp_path, extra):
         out_path = tmp_path / "empty.csv"
@@ -297,4 +299,16 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error:")
+        assert not out_path.exists()
+
+    def test_design_point_required(self, capsys, tmp_path):
+        # a sweep simulates one code, so there is no default design point
+        out_path = tmp_path / "undesigned.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--family", "self-matched-ara", "--p-start", "0.4", "--p-stop", "0.45",
+                "--p-step", "0.05", "--k", "256", "--trials", "4", "--out", str(out_path),
+            ])
+        assert exc.value.code == 2
+        assert "--design-p" in capsys.readouterr().err
         assert not out_path.exists()

@@ -12,7 +12,6 @@ from aracodes.nonneg import (
     polya_verify,
     self_matched_candidate,
     self_matched_condition,
-    strip_head,
     verify_family,
 )
 from aracodes.powerseries import InvalidParameterError, monomial, t_operator
@@ -61,12 +60,6 @@ class TestPolyaVerify:
 
 
 class TestStripHead:
-    def test_zero_strip_is_identity(self):
-        fn = lambda z: z ** 2
-        cand = strip_head(fn, 0, [])
-        z = np.exp(1j * np.array([0.3, 1.1]))
-        assert np.allclose(cand.fn(z), fn(z))
-
     def test_head_values_match_series_division(self):
         c = 0.37
         ser = log_ratio_series(c, 10).coeffs
@@ -87,10 +80,6 @@ class TestStripHead:
         z = np.array([0.4 * np.exp(0.7j)])
         direct = sum(ser[n] * z ** (n - 8) for n in range(8, 221))
         assert np.allclose(cand.fn(z), direct, atol=1e-12)
-
-    def test_head_length_checked(self):
-        with pytest.raises(InvalidParameterError):
-            strip_head(lambda z: z, 3, [1.0])
 
 
 class TestCriticalConstant:

@@ -89,16 +89,21 @@ class TestConfig:
             small_config(p_start=0.5, p_stop=0.4)
         assert np.allclose(small_config(p_start=0.4, p_stop=0.4).p_values(), [0.4])
 
-    @pytest.mark.parametrize("design_p", [None, 0.5])
+    @pytest.mark.parametrize("design_p", [0.5])
     @pytest.mark.parametrize("k, m_outer", [(0, 0), (64, -1), (64, 100)])
     def test_empty_code_fails_loudly(self, design_p, k, m_outer):
-        # with or without a fixed design, no point runs and no NaN row is written
+        # the build fails before the first point, so no row is written
         with pytest.raises(InvalidParameterError):
             run_sweep(small_config(k=k, m_outer=m_outer, design_p=design_p, trials=3))
 
     def test_p_values(self):
         cfg = small_config()
         assert np.allclose(cfg.p_values(), [0.30, 0.35, 0.40])
+
+    @pytest.mark.parametrize("design_p", [None, 0.0, 1.0, 1.5])
+    def test_design_point_required_in_range(self, design_p):
+        with pytest.raises(InvalidParameterError, match="design_p"):
+            small_config(design_p=design_p)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(InvalidParameterError, match="workers"):
@@ -155,26 +160,6 @@ class TestSweep:
     def test_super_threshold_point_fails(self):
         res = run_sweep(small_config(p_start=0.58, p_stop=0.58, p_step=0.01, trials=30, k=512))
         assert res.word_rates[0] > 0.9
-
-    def test_skipped_points_when_redesigning(self):
-        cfg = SimConfig(
-            family="bit-regular-ara",
-            p_start=0.30,
-            p_stop=0.45,
-            p_step=0.05,
-            k=128,
-            trials=4,
-            seed=0,
-            d_L=24,
-            d_R=24,
-            design_p=None,
-            order=96,
-        )
-        res = run_sweep(cfg)
-        assert res.skipped[-1]  # beyond the observed validity bound
-        assert not res.skipped[0]
-        assert np.isnan(res.word_rates[-1])
-        assert res.skipped == [t == 0 for t in res.trials_run]
 
     def test_skipped_is_read_off_trials_run(self):
         res = SimResult(config=small_config(), trials_run=[5, 0, 3])
@@ -262,9 +247,8 @@ class TestCsv:
         assert lo < 0.95 and hi == 1.0
 
     def test_non_ara_family_rejected(self):
-        for design_p in (None, 0.5):
-            with pytest.raises(InvalidParameterError, match="ARA"):
-                run_sweep(small_config(family="self-matched-nsira", design_p=design_p))
+        with pytest.raises(codec.ConstructionError, match="ARA"):
+            run_sweep(small_config(family="self-matched-nsira"))
 
     def test_header_only_for_empty_sweep(self, tmp_path):
         cfg = small_config()

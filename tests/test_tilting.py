@@ -11,6 +11,7 @@ from aracodes.powerseries import (
     InvalidParameterError,
     NumericDomainError,
     PowerSeries,
+    ValidityError,
     monomial,
 )
 from aracodes.tilting import (
@@ -303,15 +304,33 @@ class TestRateAndComplexity:
         assert design_rate(regular_pair()) == pytest.approx(0.5, abs=1e-14)
 
     def test_capacity_rate_all_families(self):
+        # all nine untruncated catalog pairs sit at capacity; only a truncation can reach rate <= 0
         for name, p in [
             ("self-matched-ara", 0.6),
             ("self-matched-nsira", 0.45),
             ("self-matched-aldpc", 0.55),
             ("bit-regular-ara", 0.25),
+            ("check-regular-ara", 0.8),
+            ("bit-regular-nsira", 0.07),
+            ("check-regular-nsira", 0.5),
+            ("bit-regular-aldpc", 0.5),
             ("check-regular-aldpc", 0.95),
         ]:
             pair = cons.build_catalog_pair(name, p, order=512)
             assert design_rate(pair) == pytest.approx(1.0 - p, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, M",
+        [("bit-regular-aldpc", M) for M in (6, 8, 12, 16, 30)]
+        + [("self-matched-aldpc", M) for M in (6, 8, 12, 16)],
+    )
+    def test_non_positive_rate_refused(self, name, M):
+        # a deep truncation leaves more checks than punctured bits
+        pair = truncate_pair(cons.build_catalog_pair(name, 0.5, order=512), M, M)
+        with pytest.raises(ValidityError, match="design rate"):
+            design_rate(pair)
+        with pytest.raises(ValidityError, match="design rate"):
+            complexity(pair)
 
     def test_complexity_closed_forms(self):
         chi = complexity(cons.self_matched_ara(0.5, b=0.9304, order=64))
