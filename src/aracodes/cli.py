@@ -106,7 +106,7 @@ def cmd_simulate(args) -> int:
     )
     result = sim.run_sweep(cfg)
     sim.emit_csv(result, args.out)
-    print(f"wrote {len(result.p_values)} sweep points to {args.out} in {result.wall_time:.1f}s")
+    print(f"wrote {len(result.table)} sweep points to {args.out} in {result.wall_time:.1f}s")
     return 0
 
 

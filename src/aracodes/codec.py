@@ -216,15 +216,15 @@ def instantiate(
     perm = rng.permutation(n_edges)
     bit_sockets = np.repeat(np.arange(k), bit_degrees)
     edge_targets = bit_sockets[perm]
-    check_offsets = np.concatenate([[0], np.cumsum(check_degrees)]).astype(np.int64)
+    check_offsets = np.concatenate([[0], np.cumsum(check_degrees)])
 
     outer_P = rng.integers(0, 2, size=(m_outer, k - m_outer), dtype=np.uint8)
     arrays = dict(
         bit_degrees=bit_degrees,
-        check_degrees=check_degrees.astype(np.int64),
-        edge_targets=edge_targets.astype(np.int64),
+        check_degrees=check_degrees,
+        edge_targets=edge_targets,
         check_offsets=check_offsets,
-        pilot_set=pilot_set.astype(np.int64),
+        pilot_set=pilot_set,
         outer_P=outer_P,
     )
     for arr in arrays.values():
@@ -283,12 +283,11 @@ def encode(inst: CodeInstance, info: np.ndarray) -> Codeword:
         v[k - m :] = (inst.outer_P @ v[: k - m]) & 1
 
     u = v ^ np.concatenate([[0], v[:-1]]).astype(np.uint8)
-    w = (
-        np.bitwise_xor.reduceat(v[inst.edge_targets], inst.check_offsets[:-1])
-        if inst.n_checks
-        else np.empty(0, np.uint8)
-    )
-    return Codeword(u=u, z=np.bitwise_xor.accumulate(w))
+    # the parity accumulator telescopes: z_i is the xor of every socket of
+    # checks 0..i, one socket prefix read at the end of check i
+    sock_prefix = np.zeros(len(inst.edge_targets) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(v[inst.edge_targets], out=sock_prefix[1:])
+    return Codeword(u=u, z=sock_prefix[inst.check_offsets[1:]])
 
 
 @dataclass(frozen=True)
@@ -355,24 +354,24 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
     vals[pc] = off[inst.pilot_set]
 
     # check i joins the group closed by the first observed parity bit at or
-    # after it; the trailing unclosed group, if any, has index n_obs
+    # after it; the sockets of a trailing unclosed group are dropped
     observed_z = z_vals >= 0
-    grp_of_check = np.cumsum(observed_z, dtype=np.int64) - observed_z
     zo = z_vals[observed_z].astype(np.uint8)
-    n_obs = len(zo)
-
-    sock_grp = np.repeat(grp_of_check, inst.check_degrees)
-    sock_cls = cls[inst.edge_targets]
-    sock_const = off[inst.edge_targets] ^ vals[sock_cls]  # unknown classes hold 0
-    # a float64 bincount counts the sockets of value 1 per group exactly
-    flips = np.bincount(sock_grp, weights=sock_const, minlength=n_obs + 1)[:n_obs] % 2
-    grp_syndrome = (zo ^ np.concatenate([[0], zo[:-1]]) ^ flips.astype(np.uint8)).astype(np.uint8)
+    grp_end = inst.check_offsets[1:][observed_z]  # one past each group's last socket
+    closed = inst.edge_targets[: grp_end[-1] if len(zo) else 0]
+    sock_grp = np.repeat(np.arange(len(zo)), np.diff(grp_end, prepend=0))
+    sock_cls = cls[closed]
+    # group g's syndrome is z_g ^ z_{g-1} ^ the xor of its sockets' constants
+    # (unknown classes hold 0): t_g ^ t_{g-1} for t = zo ^ a socket prefix
+    sock_prefix = np.zeros(len(closed) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate((off ^ vals[cls])[closed], out=sock_prefix[1:])
+    t = zo ^ sock_prefix[grp_end]
+    grp_syndrome = t ^ np.concatenate([[0], t[:-1]]).astype(np.uint8)
 
     # unknown-class incidences cancelled mod 2: pack (group, class) into one
     # key that sorts like the pair, and keep one key of each odd-length run
-    live = (sock_grp < n_obs) & ~known[sock_cls]
     s = n_classes.bit_length()
-    keys = ((sock_grp << s) | sock_cls)[live]
+    keys = ((sock_grp << s) | sock_cls)[~known[sock_cls]]
     keys.sort()
     # edge[i]: key i opens a run, or i is one past the end of the keys
     edge = np.ones(len(keys) + 1, dtype=bool)

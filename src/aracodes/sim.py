@@ -9,6 +9,7 @@ is order-independent and worker counts do not change results.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import multiprocessing
@@ -16,7 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class SimConfig:
     alpha: float = 1.0
     b: Optional[float] = None
     order: int = 256
-    allow_unproven: bool = True
+    allow_unproven: ClassVar[bool] = True  # sweeps accept the observed validity ranges
     workers: int = 0  # 0: take the worker-count override from the environment
 
     def __post_init__(self):
@@ -67,37 +68,47 @@ class SimConfig:
         return self.p_start + self.p_step * np.arange(n)
 
 
+# One entry per value of a sweep row, in row and CSV order: its CSV name,
+# its CSV format and the type a CSV field is read back as.  The peel_*
+# columns are the rates of peeling alone, before the outer stage.
+Column = collections.namedtuple("Column", "name fmt parse")
+COLUMNS = (
+    Column("p", "{:.6g}", float),
+    Column("bit_rate", "{:.8g}", float),
+    Column("word_rate", "{:.8g}", float),
+    Column("unresolved_mean", "{:.8g}", float),
+    Column("outer_rescue_rate", "{:.8g}", float),
+    Column("trials", "{}", int),
+    Column("peel_bit_rate", "{:.8g}", float),
+    Column("peel_word_rate", "{:.8g}", float),
+)
+_INDEX = {col.name: i for i, col in enumerate(COLUMNS)}
+CSV_HEADER = ",".join(col.name for col in COLUMNS)
+_CSV_ROW = ",".join(col.fmt for col in COLUMNS) + "\n"
+
+
 @dataclass
 class SimResult:
     config: SimConfig
-    p_values: list[float] = field(default_factory=list)
-    bit_rates: list[float] = field(default_factory=list)
-    word_rates: list[float] = field(default_factory=list)
-    unresolved_means: list[float] = field(default_factory=list)
-    outer_rescue_rates: list[float] = field(default_factory=list)
-    trials_run: list[int] = field(default_factory=list)
-    peel_bit_rates: list[float] = field(default_factory=list)  # peeling alone, before the outer stage
-    peel_word_rates: list[float] = field(default_factory=list)
+    table: list[tuple] = field(default_factory=list)  # one row per sweep point, in COLUMNS order
     wall_time: float = 0.0
+
+    def rows(self) -> list[tuple]:
+        return list(self.table)
+
+    def column(self, name: str) -> list:
+        """One named column of ``COLUMNS``, a value per sweep point."""
+        i = _INDEX[name]
+        return [row[i] for row in self.table]
+
+    @property
+    def trials_run(self) -> list[int]:
+        return self.column("trials")
 
     @property
     def skipped(self) -> list[bool]:
         """Whether each sweep point ran no trials; ``run_sweep`` runs every point."""
         return [t == 0 for t in self.trials_run]
-
-    def rows(self) -> list[tuple]:
-        return list(
-            zip(
-                self.p_values,
-                self.bit_rates,
-                self.word_rates,
-                self.unresolved_means,
-                self.outer_rescue_rates,
-                self.trials_run,
-                self.peel_bit_rates,
-                self.peel_word_rates,
-            )
-        )
 
     def word_rate_interval(self, index: int, z: float = 1.96) -> tuple[float, float]:
         """Wilson score 95% interval for one sweep point.
@@ -105,7 +116,7 @@ class SimResult:
         Unlike the normal approximation it keeps a positive width when a
         point saw no failures, or nothing but failures.
         """
-        rate = self.word_rates[index]
+        rate = self.column("word_rate")[index]
         n = max(self.trials_run[index], 1)
         z2n = z * z / n
         centre = (rate + 0.5 * z2n) / (1.0 + z2n)
@@ -200,11 +211,6 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     pair = build_catalog_pair(cfg.family, cfg.design_p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven)
     inst = codec.instantiate(pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed)
     mask = make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
-    columns = (
-        result.p_values, result.bit_rates, result.word_rates,
-        result.unresolved_means, result.outer_rescue_rates, result.trials_run,
-        result.peel_bit_rates, result.peel_word_rates,
-    )
 
     # one pool serves every point; without one the trials run in-process
     use_pool = workers > 1 and cfg.trials >= 2 * workers
@@ -223,16 +229,11 @@ def run_sweep(cfg: SimConfig) -> SimResult:
             batch = functools.partial(_trial_batch, inst, cfg, p, p_index, puncture_mask=mask)
             parts = run(batch, bounds[:-1], bounds[1:])
             word_fails, rescued, unresolved, bit_fails, peel_bit_fails = map(sum, zip(*parts))
-            row = (p, bit_fails / info_bits, word_fails / n, unresolved / n, rescued / n, n,
-                   peel_bit_fails / info_bits, (word_fails + rescued) / n)
-            for column, value in zip(columns, row):
-                column.append(value)
+            result.table.append((p, bit_fails / info_bits, word_fails / n, unresolved / n, rescued / n, n,
+                                 peel_bit_fails / info_bits, (word_fails + rescued) / n))
 
     result.wall_time = time.time() - t_start
     return result
-
-
-CSV_HEADER = "p,bit_rate,word_rate,unresolved_mean,outer_rescue_rate,trials,peel_bit_rate,peel_word_rate"
 
 
 def emit_csv(result: SimResult, path: str) -> None:
@@ -240,11 +241,7 @@ def emit_csv(result: SimResult, path: str) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in result.rows():
-                fh.write(
-                    f"{row[0]:.6g},{row[1]:.8g},{row[2]:.8g},{row[3]:.8g},{row[4]:.8g},{row[5]},"
-                    f"{row[6]:.8g},{row[7]:.8g}\n"
-                )
+            fh.writelines(_CSV_ROW.format(*row) for row in result.table)
     except OSError as exc:
         raise OSError(f"failed writing sweep CSV to {path!r}: {exc}") from exc
 
@@ -252,8 +249,9 @@ def emit_csv(result: SimResult, path: str) -> None:
 def parse_csv(path: str) -> list[tuple]:
     """Read back rows written by :func:`emit_csv` (numeric round trip).
 
-    Blank lines are skipped; any other row that is not eight numbers raises
-    ``ValueError`` naming its line.
+    Blank lines are skipped; any other row that does not hold one value of
+    the right type per column of ``COLUMNS`` raises ``ValueError`` naming
+    its line.
     """
     rows = []
     with open(path) as fh:
@@ -263,10 +261,11 @@ def parse_csv(path: str) -> list[tuple]:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            fields = line.strip().split(",")
             try:
-                p, bit, word, unresolved, rescued, trials, peel_bit, peel_word = line.strip().split(",")
-                rows.append((float(p), float(bit), float(word), float(unresolved), float(rescued), int(trials),
-                             float(peel_bit), float(peel_word)))
+                if len(fields) != len(COLUMNS):
+                    raise ValueError(f"{len(fields)} fields, expected {len(COLUMNS)}")
+                rows.append(tuple(col.parse(value) for col, value in zip(COLUMNS, fields)))
             except ValueError as exc:
                 raise ValueError(f"malformed row at line {lineno} of {path!r}: {exc}") from None
     return rows

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from aracodes import codec
 from aracodes.constructions import self_matched_ara
 from aracodes.powerseries import InvalidParameterError
 from aracodes.sim import (
+    COLUMNS,
     CSV_HEADER,
     WORKER_ENV,
     SimConfig,
@@ -34,6 +37,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def table_row(**values):
+    """One sweep row in COLUMNS order; columns not named read 0."""
+    return tuple(values.get(col.name, col.parse(0)) for col in COLUMNS)
 
 
 class TestChannel:
@@ -105,6 +113,13 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="design_p"):
             small_config(design_p=design_p)
 
+    def test_sweeps_accept_unproven_ranges(self):
+        # a class constant, not a field: no caller sets it
+        assert SimConfig.allow_unproven is True
+        assert "allow_unproven" not in {f.name for f in dataclasses.fields(SimConfig)}
+        with pytest.raises(TypeError):
+            small_config(allow_unproven=False)
+
     def test_negative_workers_rejected(self):
         with pytest.raises(InvalidParameterError, match="workers"):
             small_config(workers=-1)
@@ -120,49 +135,50 @@ class TestSweep:
     def test_deterministic(self):
         a = run_sweep(small_config())
         b = run_sweep(small_config())
-        assert a.word_rates == b.word_rates
-        assert a.bit_rates == b.bit_rates
-        assert a.unresolved_means == b.unresolved_means
+        for name in ("word_rate", "bit_rate", "unresolved_mean"):
+            assert a.column(name) == b.column(name)
 
     def test_monotone_word_rate(self):
         cfg = small_config(
             p_start=0.30, p_stop=0.55, p_step=0.05, trials=60, k=512, m_outer=8
         )
         res = run_sweep(cfg)
-        rates = np.array(res.word_rates)
+        rates = np.array(res.column("word_rate"))
         sigma = np.sqrt(0.25 / cfg.trials)
         assert np.all(np.diff(rates) >= -2 * sigma)
 
     def test_outer_dominance_on_matched_seeds(self):
         res = run_sweep(small_config(p_start=0.42, p_stop=0.46, p_step=0.02, trials=50, k=512))
-        for w, wo in zip(res.word_rates, res.peel_word_rates):
+        for w, wo in zip(res.column("word_rate"), res.column("peel_word_rate")):
             assert w <= wo + 1e-12
 
     def test_peel_word_rate_counts_failures_and_rescues(self):
         cfg = small_config(p_start=0.36, p_stop=0.46, p_step=0.05, trials=30, k=512)
         res = run_sweep(cfg)
         counts = lambda rates: [rate * cfg.trials for rate in rates]
+        rescue_rates = res.column("outer_rescue_rate")
         for peel, fails, rescues in zip(
-            counts(res.peel_word_rates), counts(res.word_rates), counts(res.outer_rescue_rates)
+            counts(res.column("peel_word_rate")), counts(res.column("word_rate")), counts(rescue_rates)
         ):
             assert all(abs(count - round(count)) < 1e-9 for count in (peel, fails, rescues))
             assert round(peel) == round(fails) + round(rescues)
-        assert sum(res.outer_rescue_rates) > 0.0  # the two curves differ here
-        for peel, final, rescues in zip(res.peel_bit_rates, res.bit_rates, res.outer_rescue_rates):
+        assert sum(rescue_rates) > 0.0  # the two curves differ here
+        for peel, final, rescues in zip(res.column("peel_bit_rate"), res.column("bit_rate"), rescue_rates):
             assert peel > final if rescues else peel >= final  # a rescued word had lost info bits
 
     def test_peel_columns_equal_final_without_outer_code(self):
         res = run_sweep(small_config(p_start=0.36, p_stop=0.46, p_step=0.05, trials=20, m_outer=0))
-        assert res.peel_bit_rates == res.bit_rates
-        assert res.peel_word_rates == res.word_rates
-        assert res.outer_rescue_rates == [0.0] * 3 and res.word_rates[-1] > 0.0
+        assert res.column("peel_bit_rate") == res.column("bit_rate")
+        assert res.column("peel_word_rate") == res.column("word_rate")
+        assert res.column("outer_rescue_rate") == [0.0] * 3 and res.column("word_rate")[-1] > 0.0
 
     def test_super_threshold_point_fails(self):
         res = run_sweep(small_config(p_start=0.58, p_stop=0.58, p_step=0.01, trials=30, k=512))
-        assert res.word_rates[0] > 0.9
+        assert res.column("word_rate")[0] > 0.9
 
     def test_skipped_is_read_off_trials_run(self):
-        res = SimResult(config=small_config(), trials_run=[5, 0, 3])
+        res = SimResult(config=small_config(), table=[table_row(trials=t) for t in (5, 0, 3)])
+        assert res.trials_run == [5, 0, 3]
         assert res.skipped == [False, True, False]
         with pytest.raises(AttributeError):
             res.skipped = [True]
@@ -172,7 +188,7 @@ class TestSweep:
         small = run_sweep(small_config(k=256, **base))
         large = run_sweep(small_config(k=2048, **base))
         sigma = 2.0 * np.sqrt(0.25 / 60)
-        assert large.word_rates[0] <= small.word_rates[0] + sigma
+        assert large.column("word_rate")[0] <= small.column("word_rate")[0] + sigma
 
     def test_rows_independent_of_info_word(self, monkeypatch):
         # on the BEC a decoder that never guesses succeeds or fails on the
@@ -193,18 +209,15 @@ class TestSweep:
             p_start=0.15, p_stop=0.40, p_step=0.25, trials=40, k=2048, alpha=alpha, m_outer=10
         )
         res = run_sweep(cfg)
-        assert res.word_rates[0] < 0.2
-        assert res.word_rates[1] > 0.8
+        assert res.column("word_rate")[0] < 0.2
+        assert res.column("word_rate")[1] > 0.8
 
     def test_worker_pool_matches_serial(self):
         # two points, so the one pool of the sweep serves more than one
         cfg = dict(p_start=0.40, p_stop=0.44, p_step=0.04, trials=24)
         serial = run_sweep(small_config(**cfg))
         parallel = run_sweep(small_config(workers=2, **cfg))
-        assert len(serial.word_rates) == 2
-        assert serial.word_rates == parallel.word_rates
-        assert serial.bit_rates == parallel.bit_rates
-        assert serial.outer_rescue_rates == parallel.outer_rescue_rates
+        assert len(serial.rows()) == 2
         assert serial.rows() == parallel.rows()
 
 
@@ -218,6 +231,21 @@ class TestCsv:
         for row, expect in zip(rows, res.rows()):
             assert row == pytest.approx(expect)
             assert row[5] == expect[5]
+            assert [type(value) for value in row] == [col.parse for col in COLUMNS]
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        # the formats of COLUMNS are fixed points of their parse types
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        emit_csv(run_sweep(small_config(trials=8, m_outer=6)), str(first))
+        emit_csv(SimResult(config=small_config(), table=parse_csv(str(first))), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_header_and_row_follow_the_column_table(self, tmp_path):
+        assert CSV_HEADER.split(",") == [col.name for col in COLUMNS]
+        res = run_sweep(small_config(trials=4))
+        assert all(len(row) == len(COLUMNS) for row in res.rows())
+        assert res.column("trials") == res.trials_run == [4] * 3
+        assert res.column("p") == [row[0] for row in res.rows()]
 
     def test_malformed_row_fails_loudly(self, tmp_path):
         good = "0.3,0.001,0.01,0.5,0.02,40,0.002,0.03\n"
@@ -233,14 +261,20 @@ class TestCsv:
         path.write_text(CSV_HEADER + "\n" + good + "0.35,0.002,0.02,0.5,0.02,40\n")  # no peel columns
         with pytest.raises(ValueError, match="line 3"):
             parse_csv(str(path))
+        path.write_text(CSV_HEADER + "\n" + good + "0.35,0.002,0.02,0.5,0.02,40,0.002,0.03,0.1\n")
+        with pytest.raises(ValueError, match="line 3.*9 fields, expected 8"):
+            parse_csv(str(path))
+        path.write_text(CSV_HEADER + "\n" + good + "0.35,0.002,0.02,0.5,0.02,40.5,0.002,0.03\n")
+        with pytest.raises(ValueError, match="line 3"):  # trials is an integer column
+            parse_csv(str(path))
 
     def test_word_rate_interval(self):
         res = run_sweep(small_config(trials=30))
         lo, hi = res.word_rate_interval(0)
-        assert 0.0 <= lo <= res.word_rates[0] <= hi <= 1.0
+        assert 0.0 <= lo <= res.column("word_rate")[0] <= hi <= 1.0
 
     def test_word_rate_interval_at_extremes(self):
-        res = SimResult(config=small_config(), word_rates=[0.0, 1.0], trials_run=[30, 30])
+        res = SimResult(config=small_config(), table=[table_row(word_rate=w, trials=30) for w in (0.0, 1.0)])
         lo, hi = res.word_rate_interval(0)
         assert lo == 0.0 and hi > 0.05
         lo, hi = res.word_rate_interval(1)
