@@ -310,7 +310,7 @@ class ResidualGraph:
     bit, plus the anchored prefix class); checks merge into groups between
     observed parity bits.  Each group keeps a running syndrome, and the
     live (group, unknown class) incidences, cancelled mod 2 and sorted by
-    group, are the whole of the remaining constraint graph.
+    class, then group, are the whole of the remaining constraint graph.
     """
 
     n_classes: int
@@ -336,11 +336,10 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
     u_vals, z_vals = rcv.u_vals, rcv.z_vals
     erased_u = u_vals < 0
 
-    cls = np.cumsum(erased_u, dtype=np.int64)
+    cls = np.add.accumulate(erased_u, dtype=np.int64)
     n_classes = int(cls[-1]) + 1 if k else 1
-    u_masked = np.where(erased_u, 0, u_vals).astype(np.uint8)
-    prefix = np.bitwise_xor.accumulate(u_masked)
-    starts = np.flatnonzero(erased_u)
+    prefix = np.bitwise_xor.accumulate(np.maximum(u_vals, 0).view(np.uint8))
+    starts = erased_u.nonzero()[0]
     base = np.zeros(n_classes, dtype=np.uint8)
     if len(starts):
         base[1:] = prefix[starts]
@@ -359,25 +358,31 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
     zo = z_vals[observed_z].astype(np.uint8)
     grp_end = inst.check_offsets[1:][observed_z]  # one past each group's last socket
     closed = inst.edge_targets[: grp_end[-1] if len(zo) else 0]
-    sock_grp = np.repeat(np.arange(len(zo)), np.diff(grp_end, prepend=0))
-    sock_cls = cls[closed]
+    grp_size = grp_end.copy()
+    grp_size[1:] -= grp_end[:-1]
+    sock_grp = np.repeat(np.arange(len(zo)), grp_size)
     # group g's syndrome is z_g ^ z_{g-1} ^ the xor of its sockets' constants
     # (unknown classes hold 0): t_g ^ t_{g-1} for t = zo ^ a socket prefix
     sock_prefix = np.zeros(len(closed) + 1, dtype=np.uint8)
     np.bitwise_xor.accumulate((off ^ vals[cls])[closed], out=sock_prefix[1:])
     t = zo ^ sock_prefix[grp_end]
-    grp_syndrome = t ^ np.concatenate([[0], t[:-1]]).astype(np.uint8)
+    grp_syndrome = t.copy()
+    grp_syndrome[1:] ^= t[:-1]
 
-    # unknown-class incidences cancelled mod 2: pack (group, class) into one
-    # key that sorts like the pair, and keep one key of each odd-length run
-    s = n_classes.bit_length()
-    keys = ((sock_grp << s) | sock_cls)[~known[sock_cls]]
+    # unknown-class incidences cancelled mod 2: pack (class, group) into one
+    # key that sorts like the pair, and keep one key of each odd-length run;
+    # known classes take the top key, so they sort into a tail that is cut off
+    s = len(zo).bit_length()
+    top = np.iinfo(np.int64).max
+    cls_key = np.where(known, top, np.arange(n_classes, dtype=np.int64) << s)
+    keys = cls_key[cls][closed] | sock_grp
     keys.sort()
+    keys = keys[: np.searchsorted(keys, top)]
     # edge[i]: key i opens a run, or i is one past the end of the keys
     edge = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
-    bounds = np.flatnonzero(edge)
-    odd = keys[bounds[:-1][np.diff(bounds) & 1 == 1]]
+    bounds = edge.nonzero()[0]
+    odd = keys[bounds[:-1][(bounds[1:] - bounds[:-1]) & 1 == 1]]
 
     return ResidualGraph(
         n_classes=n_classes,
@@ -386,8 +391,8 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
         known=known,
         vals=vals,
         grp_syndrome=grp_syndrome,
-        inc_grp=odd >> s,
-        inc_cls=odd & ((1 << s) - 1),
+        inc_grp=odd & ((1 << s) - 1),
+        inc_cls=odd >> s,
     )
 
 
@@ -398,35 +403,51 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
 def peel_decode(rg: ResidualGraph) -> int:
     """Resolve degree-1 check groups round by round; returns resolutions.
 
-    Each round resolves every class that is the last unknown of some
-    group, folds the resolved values into their groups' syndromes and
-    drops their incidences, so afterwards every incidence left names an
-    unknown class.  The list stays sorted by group, so an incidence is
-    its group's last exactly when its group differs from both neighbours'.
+    Each group keeps its live degree, the sum of its unknown class ids
+    (which names the class once the degree is 1) and its syndrome.  Each
+    round resolves every class that is the last unknown of some group and
+    folds it out of the groups it touches.  The list is sorted by class, so
+    a resolved class's incidences are one slice of it, and a round touches
+    only those.  Afterwards every incidence left names an unknown class,
+    in the list's order.
     """
     known, vals, synd = rg.known, rg.vals, rg.grp_syndrome
     g, c = rg.inc_grp, rg.inc_cls
-    n_known = np.count_nonzero(known)
-    # edge[i]: incidence i opens a group, or i is one past the end of the list
-    edge = np.ones(len(g) + 1, dtype=bool)
+    n_groups = len(synd)
+    degree = np.bincount(g, minlength=n_groups)
+    id_sum = np.zeros(n_groups, dtype=np.int64)
+    np.add.at(id_sum, g, c)
+    # class j's incidences are the cls_deg[j] from first[j] on
+    cls_deg = np.bincount(c, minlength=rg.n_classes)
+    first = np.add.accumulate(cls_deg) - cls_deg
+    owner = np.empty(rg.n_classes, dtype=np.int64)
+    resolved = 0
     # every round but the last resolves a class, which bounds the rounds
     for _ in range(rg.n_classes):
-        n = len(g)
-        np.not_equal(g[1:], g[:-1], out=edge[1:n])
-        edge[n] = True
-        last = np.flatnonzero(edge[:n] & edge[1 : n + 1])
+        last = (degree == 1).nonzero()[0]
         if not len(last):
             break
-        resolved = c[last]
-        known[resolved] = True
-        vals[resolved] = synd[g[last]]
-        # unknown classes hold 0, so only this round's resolutions fold in
-        ones = g[vals[c] == 1]
-        synd ^= (np.bincount(ones, minlength=len(synd)) & 1).astype(np.uint8)
-        keep = np.flatnonzero(~known[c])
-        g, c = g[keep], c[keep]
-    rg.inc_grp, rg.inc_cls = g, c
-    return int(np.count_nonzero(known) - n_known)
+        r = id_sum[last]
+        known[r] = True
+        # synd adds the folded values up (mod 256), so a syndrome is its low
+        # bit; a class last in two groups takes the highest group's value and
+        # is expanded once
+        vals[r] = synd[last] & 1
+        owner[r] = last
+        r = r[owner[r] == last]
+        # the list positions of every resolved class's incidences
+        n = cls_deg[r]
+        ends = np.add.accumulate(n)
+        idx = np.arange(ends[-1]) + np.repeat(first[r] - ends + n, n)
+        touched, touched_cls = g[idx], c[idx]
+        np.subtract.at(degree, touched, 1)
+        np.subtract.at(id_sum, touched, touched_cls)
+        np.add.at(synd, touched, vals[touched_cls])
+        resolved += len(r)
+    synd &= 1
+    keep = ~known[c]
+    rg.inc_grp, rg.inc_cls = g[keep], c[keep]
+    return resolved
 
 
 def outer_decode(rg: ResidualGraph, inst: CodeInstance) -> bool:
@@ -443,7 +464,6 @@ def outer_decode(rg: ResidualGraph, inst: CodeInstance) -> bool:
     if n_unknown == 0:
         return True
     m = inst.m_outer
-    # incidences are sorted by group, so each degree-2 group is an adjacent pair
     g, c = rg.inc_grp, rg.inc_cls
     two = np.bincount(g)[g] == 2
     n_two = int(np.count_nonzero(two)) // 2
@@ -452,10 +472,12 @@ def outer_decode(rg: ResidualGraph, inst: CodeInstance) -> bool:
         # since complementing every unknown satisfies each of them too
         return False
 
+    # sorted by (group, class), each degree-2 group is an adjacent pair
+    pairs = np.sort(g[two] * rg.n_classes + c[two])
     A = np.zeros((n_two + m, n_unknown), dtype=np.uint8)
     b = np.zeros(n_two + m, dtype=np.uint8)
-    A[np.arange(2 * n_two) // 2, np.searchsorted(unknown, c[two])] = 1
-    b[:n_two] = rg.grp_syndrome[g[two][::2]]
+    A[np.arange(2 * n_two) // 2, np.searchsorted(unknown, pairs % rg.n_classes)] = 1
+    b[:n_two] = rg.grp_syndrome[pairs[::2] // rg.n_classes]
 
     # outer rows: position j holds x_cls[j] ^ const[j]; each unknown class
     # is a contiguous run of positions, so its column is an xor over the run
@@ -504,8 +526,8 @@ def decode(inst: CodeInstance, rcv: ReceivedWord) -> DecodeResult:
     # an info bit is lost when it was erased and its flanking states differ
     k, m = inst.k, inst.m_outer
     erased_u = rcv.u_vals < 0
-    prev_known = np.concatenate([[True], v_known[:-1]])
-    u_lost = erased_u & ~(v_known & prev_known)
+    u_lost = erased_u & ~v_known
+    u_lost[1:] |= erased_u[1:] & ~v_known[:-1]
     info_mask = np.ones(k, dtype=bool)
     info_mask[inst.pilot_set] = False
     if m:
