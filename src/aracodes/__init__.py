@@ -6,7 +6,6 @@ from .powerseries import (
     PowerSeries,
     edge_from_node,
     node_from_edge,
-    t_operator,
     truncate_bit,
     truncate_check,
 )
@@ -29,18 +28,17 @@ from .constructions import (
     lambert_w0,
     matched_image_series,
     solve_b,
-    solve_check_from_bit,
     validity_region,
 )
 
 __all__ = [
     # power series and degree distributions
     "DegreeDistribution", "DegreePair", "PowerSeries", "edge_from_node", "node_from_edge",
-    "t_operator", "truncate_bit", "truncate_check",
+    "truncate_bit", "truncate_check",
     # graph reduction and density evolution
     "chop_pair", "complexity", "de_residual", "design_rate", "stability", "symmetry_swap",
     "threshold_search", "tilt", "truncate_pair", "untilt", "untilt_node",
     # constructions
     "CATALOG", "build_catalog_pair", "lambert_w0", "matched_image_series", "solve_b",
-    "solve_check_from_bit", "validity_region",
+    "validity_region",
 ]

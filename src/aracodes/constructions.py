@@ -8,9 +8,11 @@ whose design rate equals 1 - p:
   like b^k;
 * bit-regular families with degree-3 bits, whose matched side comes from
   an algebraic cubic (series from the generic solver, evaluators in
-  closed form), and their check-regular bit/check swap images;
-* a generic numerical solver that recovers the check side from any
-  polynomial bit side.
+  closed form), and their check-regular bit/check swap images.
+
+The generic solver, :func:`matched_image_series` with
+:func:`matched_check_node_series`, recovers the matched check series of
+any polynomial bit side.
 
 Every derived side is a reduced ("tilted") node series with its exact
 mean, untilted where the family's graph reduction tilts it, and every
@@ -38,10 +40,8 @@ from .powerseries import (
     InvalidParameterError,
     PowerSeries,
     ValidityError,
-    edge_from_node,
     monomial,
     reciprocal,
-    t_operator,
 )
 from .tilting import (
     _SWAP_FAMILY, _accumulated, _untilt_fns, _weights, side_erasures, symmetry_swap, tilt, untilt, untilt_node,
@@ -310,16 +310,6 @@ def _bit_regular(family: str, p: float, order: int) -> DegreePair:
 # generic solve: check side from a polynomial bit side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckSideSolution:
-    """Check side recovered from a bit side: series plus pointwise evaluators."""
-
-    R: PowerSeries
-    rho: PowerSeries
-    R_fn: Callable
-    rho_fn: Callable
-
-
 def _polynomial_bit_side(L: PowerSeries) -> tuple[np.ndarray, float]:
     """Coefficients of a polynomial bit side up to its degree, and its mean."""
     nz = np.nonzero(np.abs(L.coeffs) > 1e-14)[0]
@@ -380,20 +370,16 @@ def _image_node_series(L: PowerSeries, p: float, order: int) -> tuple[PowerSerie
     return matched_image_series(L, p, order).antiderivative().truncated(order) * (mean / p), mean / p
 
 
-def _image_fns(L: PowerSeries, p: float, q: float, edge: Optional[Callable] = None) -> tuple[Callable, Callable]:
+def _image_fns(L: PowerSeries, p: float, q: float, edge: Callable) -> tuple[Callable, Callable]:
     """Exact (node, edge) evaluators of the matched image of bit side L tilted
     at p, untilted on the check side at q.
 
-    ``edge`` evaluates the image y (default: bisection on the tilted bit edge,
-    real x only).  Integrating y from 0 by parts gives the image node in
-    closed form, mean/p (x-1) y + 1 - L~(1-y) with L~ the tilted bit node, so
-    one evaluation of y serves both the node and the untilted edge.  Takes
-    complex x whenever ``edge`` does.
+    ``edge`` evaluates the image y.  Integrating y from 0 by parts gives the
+    image node in closed form, mean/p (x-1) y + 1 - L~(1-y) with L~ the
+    tilted bit node, so one evaluation of y serves both the node and the
+    untilted edge.  Takes complex x whenever ``edge`` does.
     """
     Lc, mean = _polynomial_bit_side(L)
-    if edge is None:
-        lam = np.arange(1, len(Lc)) * Lc[1:] / mean
-        edge = t_operator(lambda u: float(tilt(polyval(u, Lc), polyval(u, lam), "bit", p)[1]))
 
     def image(x):
         y = edge(x)
@@ -408,30 +394,13 @@ def matched_check_node_series(L: PowerSeries, family: str, p: float, order: int 
     """Check node series matched to polynomial bit side L by the family's graph reduction at p.
 
     The matched image of L tilted at the family's bit-side erasure,
-    integrated and untilted at its check-side erasure.  It is the check side
-    of :func:`solve_check_from_bit` and of the series oracle in ``nonneg``.
-    Not gated: negative coefficients appear for p beyond a family's validity
-    range, which is the regime the non-negativity verifier probes.
+    integrated and untilted at its check-side erasure; the direct series
+    oracle ``nonneg.first_coefficients_min`` reads it.  Not gated: negative
+    coefficients appear for p beyond a family's validity range, which is the
+    regime the non-negativity verifier probes.
     """
     p_bit, p_check = side_erasures(family, p)
     return untilt_node(_image_node_series(L, p_bit, order)[0], "check", p_check)
-
-
-def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -> CheckSideSolution:
-    """Recover the check side matched to a polynomial bit side at erasure p.
-
-    Pipeline: tilt the bit side, take the matched image of the tilted
-    edge function (:func:`matched_image_series` for the series, bisection
-    for the evaluator), integrate it (term by term, or by parts in closed
-    form), and untilt back to the check node distribution.  The same
-    routine run at 1 - p solves the bit side from a check side.
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError("p must lie in (0, 1)")
-    R = matched_check_node_series(L, "ARA", p, order)
-    rho = edge_from_node(R, exact_mean=(1.0 - p) * _polynomial_bit_side(L)[1] / p)
-    R_fn, rho_fn = _image_fns(L, p, p)
-    return CheckSideSolution(R=R, rho=rho, R_fn=R_fn, rho_fn=rho_fn)
 
 
 # ---------------------------------------------------------------------------

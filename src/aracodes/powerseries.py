@@ -125,7 +125,7 @@ class PowerSeries:
 
     def __add__(self, other):
         if isinstance(other, PowerSeries):
-            return self._binary(other, _add)
+            return self._binary(other, np.add)
         a = self.coeffs.copy()
         a[0] += float(other)
         return PowerSeries(a)
@@ -134,7 +134,7 @@ class PowerSeries:
 
     def __sub__(self, other):
         if isinstance(other, PowerSeries):
-            return self._binary(other, _sub)
+            return self._binary(other, np.subtract)
         return self + (-float(other))
 
     def __rsub__(self, other):
@@ -155,17 +155,9 @@ class PowerSeries:
         return PowerSeries(self.coeffs / float(other))
 
 
-def _add(a, b):
-    return a + b
-
-
-def _sub(a, b):
-    return a - b
-
-
-def monomial(degree: int, order: int, scale: float = 1.0) -> PowerSeries:
+def monomial(degree: int, order: int) -> PowerSeries:
     c = np.zeros(order + 1)
-    c[degree] = scale
+    c[degree] = 1.0
     return PowerSeries(c)
 
 
@@ -214,52 +206,6 @@ def node_from_edge(edge: PowerSeries) -> PowerSeries:
     if total <= 0.0:
         raise DegenerateInputError("edge distribution has no mass")
     return PowerSeries(np.concatenate([[0.0], weighted / total]))
-
-
-def t_operator(f: Callable) -> Callable:
-    """Matching transform: returns x -> 1 - f^{-1}(1 - x).
-
-    Requires f strictly increasing on [0, 1] with f(0) = 0 and f(1) = 1;
-    the endpoints are anchored exactly so that numerically fuzzy values
-    there (flat tangents resolve only to sqrt(eps)) cannot leak out.  The
-    inverse is computed by bisection, so only pointwise values of f are
-    needed.  Applying the operator twice reproduces f.
-    """
-    f0, f1 = float(f(0.0)), float(f(1.0))
-    if abs(f0) > 1e-6 or abs(f1 - 1.0) > 1e-6:
-        raise InvalidInputError("function must satisfy f(0) = 0 and f(1) = 1")
-    probes = np.linspace(0.0, 1.0, 9)
-    values = np.array([float(f(t)) for t in probes])
-    if np.any(np.diff(values) <= 0.0):
-        raise InvalidInputError("function must be strictly increasing on [0, 1]")
-
-    def inverse(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        if y >= 1.0:
-            return 1.0
-        a, b = 0.0, 1.0
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if b - a < 1e-15:
-                break
-            if float(f(m)) < y:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    def transformed(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            yi = 1.0 - xi
-            if yi < -1e-9 or yi > 1.0 + 1e-9:
-                raise NumericDomainError(f"target {yi} outside [0, 1]")
-            out[i] = 1.0 - inverse(yi)
-        return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-    return transformed
 
 
 def truncate_check(rho: PowerSeries, max_degree: int) -> PowerSeries:
@@ -337,10 +283,6 @@ class DegreeDistribution:
     def order(self) -> int:
         return self.node.order
 
-    def tail_mass(self) -> float:
-        """Mass missing from the truncated series (edge perspective dominates)."""
-        return max(0.0, 1.0 - float(self.edge.coeffs.sum()), 1.0 - float(self.node.coeffs.sum()))
-
 
 #: The three code structures, by the sides that carry an accumulator.  Those
 #: are the sides the graph reduction tilts, and they fix the rate and the
@@ -387,9 +329,6 @@ class DegreePair:
 
     def check_edge_fn(self) -> Callable:
         return self.check_fns[1] if self.check_fns else self.check.edge
-
-    def tail_mass(self) -> float:
-        return max(self.bit.tail_mass(), self.check.tail_mass())
 
     def to_json(self) -> str:
         doc = {

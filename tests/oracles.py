@@ -5,6 +5,9 @@ formula that only the tests read:
 
 * a full-length Horner evaluation, an exhaustive codeword check, and text
   forms of codec objects;
+* the mass a pair's truncated series miss;
+* the matching transform by bisection, and the check-side solver built on
+  it, a pointwise route to the matched image that no family builds with;
 * the tilted edge functions of a pair, built through ``tilt`` on the
   pair's evaluators and series;
 * the six-message decoder recursion, which cross-checks ``de_residual``;
@@ -21,10 +24,14 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from aracodes.codec import CodeInstance, Codeword, ReceivedWord
-from aracodes.constructions import _alpha
-from aracodes.powerseries import DegreePair, InvalidParameterError, PowerSeries, monomial, t_operator
+from aracodes.constructions import _alpha, _image_fns, _polynomial_bit_side, matched_check_node_series
+from aracodes.powerseries import (
+    DEFAULT_ORDER, DegreePair, InvalidInputError, InvalidParameterError, NumericDomainError, PowerSeries,
+    edge_from_node, monomial,
+)
 from aracodes.tilting import side_erasures, tilt, untilt_node
 
 
@@ -85,6 +92,94 @@ def instance_descriptor(inst: CodeInstance) -> str:
         "outer_shape": list(inst.outer_P.shape),
     }
     return json.dumps(doc)
+
+
+def tail_mass(pair: DegreePair) -> float:
+    """Mass missing from a pair's truncated series: the largest over both
+    sides, each in node and edge perspective."""
+    sides = (pair.bit, pair.check)
+    return max(0.0, *(1.0 - float(s.coeffs.sum()) for side in sides for s in (side.edge, side.node)))
+
+
+# ---------------------------------------------------------------------------
+# the matching transform by bisection, and the check side it solves
+# ---------------------------------------------------------------------------
+
+def t_operator(f: Callable) -> Callable:
+    """Matching transform: returns x -> 1 - f^{-1}(1 - x).
+
+    Requires f strictly increasing on [0, 1] with f(0) = 0 and f(1) = 1;
+    the endpoints are anchored exactly so that numerically fuzzy values
+    there (flat tangents resolve only to sqrt(eps)) cannot leak out.  The
+    inverse is computed by bisection, so only pointwise values of f are
+    needed.  Applying the operator twice reproduces f.
+    """
+    f0, f1 = float(f(0.0)), float(f(1.0))
+    if abs(f0) > 1e-6 or abs(f1 - 1.0) > 1e-6:
+        raise InvalidInputError("function must satisfy f(0) = 0 and f(1) = 1")
+    probes = np.linspace(0.0, 1.0, 9)
+    values = np.array([float(f(t)) for t in probes])
+    if np.any(np.diff(values) <= 0.0):
+        raise InvalidInputError("function must be strictly increasing on [0, 1]")
+
+    def inverse(y: float) -> float:
+        if y <= 0.0:
+            return 0.0
+        if y >= 1.0:
+            return 1.0
+        a, b = 0.0, 1.0
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            if b - a < 1e-15:
+                break
+            if float(f(m)) < y:
+                a = m
+            else:
+                b = m
+        return 0.5 * (a + b)
+
+    def transformed(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(xs)
+        for i, xi in enumerate(xs):
+            yi = 1.0 - xi
+            if yi < -1e-9 or yi > 1.0 + 1e-9:
+                raise NumericDomainError(f"target {yi} outside [0, 1]")
+            out[i] = 1.0 - inverse(yi)
+        return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+    return transformed
+
+
+@dataclass(frozen=True)
+class CheckSideSolution:
+    """Check side recovered from a bit side: series plus pointwise evaluators."""
+
+    R: PowerSeries
+    rho: PowerSeries
+    R_fn: Callable
+    rho_fn: Callable
+
+
+def solve_check_from_bit(L: PowerSeries, p: float, order: int = DEFAULT_ORDER) -> CheckSideSolution:
+    """Recover the check side matched to a polynomial bit side at erasure p.
+
+    Pipeline: tilt the bit side, take the matched image of the tilted
+    edge function (``matched_image_series`` for the series,
+    :func:`t_operator` on the tilted bit edge for the evaluator, real x
+    only), integrate it (term by term, or by parts in closed form), and
+    untilt back to the check node distribution.  The same routine run at
+    1 - p solves the bit side from a check side.
+    """
+    if not (0.0 < p < 1.0):
+        raise InvalidParameterError("p must lie in (0, 1)")
+    Lc, mean = _polynomial_bit_side(L)
+    R = matched_check_node_series(L, "ARA", p, order)
+    rho = edge_from_node(R, exact_mean=(1.0 - p) * mean / p)
+    lam = np.arange(1, len(Lc)) * Lc[1:] / mean
+    edge = t_operator(lambda u: float(tilt(polyval(u, Lc), polyval(u, lam), "bit", p)[1]))
+    R_fn, rho_fn = _image_fns(L, p, p, edge)
+    return CheckSideSolution(R=R, rho=rho, R_fn=R_fn, rho_fn=rho_fn)
 
 
 # ---------------------------------------------------------------------------

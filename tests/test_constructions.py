@@ -14,12 +14,11 @@ from aracodes.constructions import (
     matched_image_series,
     self_matched_ara,
     solve_b,
-    solve_check_from_bit,
     validity_region,
 )
 from aracodes.nonneg import verify_family
 from aracodes.powerseries import InvalidParameterError, PowerSeries, ValidityError, monomial
-from oracles import AsymptoticParams, asymptotic_coeffs, cmk_table, self_matched_coeffs_recursion
+from oracles import AsymptoticParams, asymptotic_coeffs, cmk_table, self_matched_coeffs_recursion, solve_check_from_bit
 
 
 class TestLambertW:

@@ -14,9 +14,9 @@ from aracodes.nonneg import (
     self_matched_condition,
     verify_family,
 )
-from aracodes.powerseries import InvalidParameterError, monomial, t_operator
+from aracodes.powerseries import InvalidParameterError, monomial
 
-from oracles import alt_fixed_point_fn, alt_self_matched_probe
+from oracles import alt_fixed_point_fn, alt_self_matched_probe, t_operator
 
 GRID = 2048  # module tests run on a lighter grid than the acceptance default
 

@@ -14,12 +14,11 @@ from aracodes.powerseries import (
     edge_from_node,
     node_from_edge,
     reciprocal,
-    t_operator,
     truncate_bit,
     truncate_check,
 )
 
-from oracles import binomial_series, full_horner
+from oracles import binomial_series, full_horner, t_operator
 
 
 class TestEval:
