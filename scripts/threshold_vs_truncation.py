@@ -22,7 +22,7 @@ def main():
     print(f"design p = {args.p}, b = {pair.b:.5f}")
     print(f"{'M':>5} {'p* (degree-1 fill)':>20} {'rate':>8} {'p* (plain chop)':>17}")
     for M in args.depths:
-        filled = truncate_pair(pair, M, M)
+        filled = truncate_pair(pair, M)
         chopped = chop_pair(pair, M)
         print(
             f"{M:>5} {threshold_search(filled):>20.5f} "

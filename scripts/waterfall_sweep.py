@@ -30,11 +30,8 @@ def main():
             k=k,
             trials=args.trials,
             seed=args.seed,
-            d_L=30,
-            d_R=30,
             m_outer=m_outer,
             design_p=0.5,
-            order=256,
         )
         result = run_sweep(cfg)
         path = f"{args.out_prefix}_k{k}.csv"

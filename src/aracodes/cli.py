@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -64,7 +65,7 @@ def cmd_de(args) -> int:
     print("\n".join(f"{x:.6f},{r:.6e}" for x, r in zip(xs.tolist(), resid.tolist())))
     stab = tilting.stability(pair)
     chi = tilting.complexity(pair)
-    trunc = tilting.truncate_pair(pair, args.M, args.M)
+    trunc = tilting.truncate_pair(pair, args.M)
     summary = {
         "family": args.family,
         "p": args.p,
@@ -88,22 +89,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = sim.SimConfig(
-        family=args.family,
-        p_start=args.p_start,
-        p_stop=args.p_stop,
-        p_step=args.p_step,
-        k=args.k,
-        trials=args.trials,
-        seed=args.seed,
-        d_L=args.d_l,
-        d_R=args.d_r,
-        m_outer=args.outer_m,
-        alpha=args.alpha,
-        design_p=args.design_p,
-        b=args.b,
-        order=args.M,
-    )
+    # an option not given is absent from args, so its field keeps its default
+    cfg = sim.SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(sim.SimConfig)
+                           if hasattr(args, f.name)})
     result = sim.run_sweep(cfg)
     sim.emit_csv(result, args.out)
     print(f"wrote {len(result.table)} sweep points to {args.out} in {result.wall_time:.1f}s")
@@ -130,22 +118,24 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--grid", type=int, default=8192)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_sim = subs.add_parser("simulate", help="Monte Carlo erasure-channel sweep")
+    # each option's dest is the SimConfig field it sets; the field holds its default
+    p_sim = subs.add_parser("simulate", help="Monte Carlo erasure-channel sweep",
+                            argument_default=argparse.SUPPRESS)
     p_sim.add_argument("--family", required=True, choices=sorted(CATALOG))
     p_sim.add_argument("--p-start", type=float, required=True)
     p_sim.add_argument("--p-stop", type=float, required=True)
     p_sim.add_argument("--p-step", type=float, required=True)
     p_sim.add_argument("--k", type=int, required=True)
-    p_sim.add_argument("--trials", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--trials", type=int)
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--design-p", type=float, required=True,
                        help="erasure probability the one code of the sweep is designed at")
-    p_sim.add_argument("--alpha", type=float, default=1.0)
-    p_sim.add_argument("--outer-m", type=int, default=0)
-    p_sim.add_argument("--d-l", type=int, default=30)
-    p_sim.add_argument("--d-r", type=int, default=30)
-    p_sim.add_argument("--b", type=_parse_b, default=None)
-    p_sim.add_argument("--M", type=int, default=256)
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--outer-m", dest="m_outer", metavar="OUTER_M", type=int)
+    p_sim.add_argument("--d-l", dest="d_L", type=int)
+    p_sim.add_argument("--d-r", dest="d_R", type=int)
+    p_sim.add_argument("--b", type=_parse_b)
+    p_sim.add_argument("--M", dest="order", metavar="M", type=int)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
     return parser

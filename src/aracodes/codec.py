@@ -135,8 +135,8 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 def instantiate(
     pair: DegreePair,
     k: int,
-    d_L: int = 64,
-    d_R: int = 64,
+    d_L: int,
+    d_R: int,
     m_outer: int = 0,
     seed: int = 0,
 ) -> CodeInstance:

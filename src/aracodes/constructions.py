@@ -124,6 +124,10 @@ class PInterval:
     def empty(self) -> bool:
         return self.lo > self.hi
 
+    def contains(self, p: float) -> bool:
+        """Whether p lies in the interval, with the builder's 1e-12 slack at both bounds."""
+        return bool(self.lo - 1e-12 <= p <= self.hi + 1e-12)
+
 
 def validity_region(family: str, b: float) -> PInterval:
     """Erasure probabilities for which the self-matched family is non-negative.
@@ -147,14 +151,9 @@ def _require_valid(family: str, p: float, b: float) -> None:
         raise ValidityError(
             f"{family} self-matched family is empty at b={b}: need b >= {solve_b(0.5):.6f}"
         )
-    if p < region.lo - 1e-12:
-        raise ValidityError(
-            f"p={p} below the lower bound {region.lo:.6f} of the {family} region at b={b}"
-        )
-    if p > region.hi + 1e-12:
-        raise ValidityError(
-            f"p={p} above the upper bound {region.hi:.6f} of the {family} region at b={b}"
-        )
+    if not region.contains(p):
+        side, bound = ("below the lower", region.lo) if p < region.lo else ("above the upper", region.hi)
+        raise ValidityError(f"p={p} {side} bound {bound:.6f} of the {family} region at b={b}")
 
 
 def _check_coeffs(coeffs: np.ndarray, what: str) -> None:

@@ -80,9 +80,10 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
     """Run the circle criterion: symmetry, convexity, integral, head signs.
 
     Convexity is tested by central second differences, held to
-    CONVEXITY_TOL times the step squared; an apparent violation triggers a
-    4x refinement pass before it counts, and small persistent violations
-    yield "inconclusive" rather than "fail".
+    CONVEXITY_TOL times the step squared.  An apparent violation triggers a
+    second pass that re-evaluates the whole arc on a grid 4x finer before
+    it counts, and small persistent violations yield "inconclusive" rather
+    than "fail".
     """
     if grid_n < 1024:
         raise InvalidParameterError("grid_n must be at least 1024")
@@ -108,11 +109,12 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
     convex_ok = min_d2 >= -d2_tol
     inconclusive = False
     if not convex_ok:
-        # refine around the worst point; rescale by the step ratio squared
-        refined = candidate.h(np.linspace(X_MIN, np.pi, 4 * grid_n))
+        # re-evaluate the whole arc on a 4x finer grid; rescale by the step ratio squared
+        fine = np.linspace(X_MIN, np.pi, 4 * grid_n)
+        refined = candidate.h(fine)
         d2r = refined[:-2] - 2.0 * refined[1:-1] + refined[2:]
         min_d2 = float(np.min(d2r)) * 16.0
-        min_loc = float(np.linspace(X_MIN, np.pi, 4 * grid_n)[int(np.argmin(d2r)) + 1])
+        min_loc = float(fine[int(np.argmin(d2r)) + 1])
         if min_d2 >= -d2_tol:
             convex_ok = True
         elif min_d2 >= -1e-6 * scale:
@@ -189,13 +191,6 @@ def tilted_scale(family: str, p: float, b: float) -> float:
     return max(_alpha(p_bit, b), _alpha(1.0 - p_check, b))
 
 
-def self_matched_condition(p: float, b: float, family: str) -> bool:
-    """Closed-form head condition for the self-matched families: p inside the
-    family's validity region at b, with the builder's slack."""
-    region = validity_region(family, b)
-    return bool(region.lo - 1e-12 <= p <= region.hi + 1e-12)
-
-
 def check_side_candidate(base_tag: str, p: float) -> PolyaCandidate:
     """R'(z)/z for the check side of the bit-regular pair of family ``base_tag`` at p.
 
@@ -247,7 +242,7 @@ def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int 
     if entry.structure == "self-matched":
         b = solve_b(p) if b is None else b
         c = tilted_scale(entry.tag, p, b)
-        doc.update(b=b, closed_form_condition=self_matched_condition(p, b, entry.tag), critical_c=C_STAR)
+        doc.update(b=b, closed_form_condition=validity_region(entry.tag, b).contains(p), critical_c=C_STAR)
         report = polya_verify(self_matched_candidate(c), grid_n=grid_n)
         series_min = float(log_ratio_series(c, 200).coeffs.min())
     else:

@@ -282,17 +282,17 @@ def symmetry_swap(pair: DegreePair) -> DegreePair:
     )
 
 
-def truncate_pair(pair: DegreePair, max_bit: int, max_check: int) -> DegreePair:
+def truncate_pair(pair: DegreePair, max_degree: int) -> DegreePair:
     """Finite-maximum-degree version of a pair.
 
-    Check mass above ``max_check`` becomes degree-1 mass (renormalized);
-    bit mass above ``max_bit`` is dropped outright, leaving the bit side
+    Check mass above ``max_degree`` becomes degree-1 mass (renormalized);
+    bit mass above it is dropped outright, leaving the bit side
     sub-stochastic (those nodes become pilots in a finite realization).
     """
-    rho_hat = truncate_check(pair.check.edge, max_check)
+    rho_hat = truncate_check(pair.check.edge, max_degree)
     check = DegreeDistribution.from_edge(rho_hat)
-    lam_hat, _pilot = truncate_bit(pair.bit.edge, max_bit)
-    node_hat = pair.bit.node.truncated(max_bit)
+    lam_hat, _pilot = truncate_bit(pair.bit.edge, max_degree)
+    node_hat = pair.bit.node.truncated(max_degree)
     bit = DegreeDistribution(node=node_hat, edge=lam_hat, mean=pair.bit.mean)
     return DegreePair(bit=bit, check=check, family=pair.family, p=pair.p, b=pair.b, label=pair.label)
 

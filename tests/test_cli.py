@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -312,3 +314,25 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "--design-p" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_option_dests_are_the_config_fields(self):
+        # a new sweep setting is one SimConfig field and one flag whose dest is that field
+        simulate = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in simulate.choices["simulate"]._actions} - {"help", "out"}
+        assert dests == {f.name for f in dataclasses.fields(sim.SimConfig)} - {"workers"}
+
+    def test_options_not_given_keep_the_config_defaults(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_sweep(cfg):
+            seen.append(cfg)
+            return sim.SimResult(config=cfg)
+
+        monkeypatch.setattr(sim, "run_sweep", fake_sweep)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--family", "self-matched-ara", "--p-start", "0.4", "--p-stop", "0.45",
+            "--p-step", "0.05", "--k", "256", "--design-p", "0.5", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        assert seen == [sim.SimConfig(family="self-matched-ara", p_start=0.4, p_stop=0.45, p_step=0.05,
+                                      k=256, design_p=0.5)]

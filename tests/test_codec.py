@@ -424,14 +424,14 @@ class TestInstantiate:
         from aracodes.constructions import build_catalog_pair
 
         with pytest.raises(ConstructionError):
-            instantiate(build_catalog_pair("self-matched-nsira", 0.4, order=64), k=64)
+            instantiate(build_catalog_pair("self-matched-nsira", 0.4, order=64), k=64, d_L=30, d_R=30)
 
     @pytest.mark.parametrize(
         "k, m_outer", [(0, 0), (-3, 0), (64, -1), (64, 64), (64, 100)]
     )
     def test_empty_sizes_rejected(self, k, m_outer):
         with pytest.raises(InvalidParameterError):
-            instantiate(self_matched_ara(0.5, order=64), k=k, m_outer=m_outer)
+            instantiate(self_matched_ara(0.5, order=64), k=k, d_L=30, d_R=30, m_outer=m_outer)
 
     def test_no_information_bits_rejected(self):
         # every bit of degree 3 exceeds d_L = 2, so every bit becomes a pilot

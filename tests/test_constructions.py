@@ -431,6 +431,25 @@ class TestValidityRegion:
         with pytest.raises(InvalidParameterError, match="unknown family 'LDPC'"):
             validity_region("LDPC", 0.95)
 
+    def test_contains_allows_the_builder_slack(self):
+        region = validity_region("ARA", 0.95)
+        for bound, sign in ((region.lo, -1.0), (region.hi, 1.0)):
+            assert region.contains(bound + sign * 5e-13)
+            assert not region.contains(bound + sign * 2e-12)
+        assert not validity_region("ARA", 0.9).contains(0.5)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (0.2, "p=0.2 below the lower bound 0.458789 of the ARA region at b=0.95"),
+            (0.9, "p=0.9 above the upper bound 0.541211 of the ARA region at b=0.95"),
+        ],
+        ids=["below", "above"],
+    )
+    def test_gate_names_the_bound_it_crosses(self, p, message):
+        with pytest.raises(ValidityError, match=f"^{re.escape(message)}$"):
+            build_catalog_pair("self-matched-ara", p, b=0.95, order=16)
+
 
 class TestCatalog:
     def test_all_names_build(self):

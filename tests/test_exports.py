@@ -19,7 +19,7 @@ GONE = {
         "_check_regular_image", "VERIFY_SCALES", "VERIFY_CUBIC", "VERIFY_BITREG",
         "matched_cubic_edge_series", "solve_check_from_bit", "CheckSideSolution",
     ],
-    nonneg: ["verify_bitreg_ara", "verify_checkreg_nsira"],
+    nonneg: ["verify_bitreg_ara", "verify_checkreg_nsira", "self_matched_condition"],
     powerseries: ["binomial_series", "t_operator"],
 }
 

@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from aracodes.constructions import CATALOG, C_STAR, build_catalog_pair, matched_check_node_series, solve_b
+from aracodes.constructions import (
+    CATALOG, C_STAR, build_catalog_pair, matched_check_node_series, solve_b, validity_region,
+)
 from aracodes.nonneg import (
     PolyaCandidate,
     check_side_candidate,
@@ -11,7 +13,6 @@ from aracodes.nonneg import (
     log_ratio_series,
     polya_verify,
     self_matched_candidate,
-    self_matched_condition,
     verify_family,
 )
 from aracodes.powerseries import InvalidParameterError, monomial
@@ -98,19 +99,19 @@ class TestCriticalConstant:
 
 class TestSelfMatchedCondition:
     def test_design_point(self):
-        assert self_matched_condition(0.5, 0.9304, "ARA")
+        assert validity_region("ARA", 0.9304).contains(0.5)
 
     def test_below_minimal_b(self):
-        assert not self_matched_condition(0.5, 0.90, "ARA")
+        assert not validity_region("ARA", 0.90).contains(0.5)
 
     def test_nsira_weaker(self):
         # only the check side constrains NSIRA
-        assert self_matched_condition(0.3, 0.9304, "NSIRA")
-        assert not self_matched_condition(0.3, 0.9304, "ARA")
+        assert validity_region("NSIRA", 0.9304).contains(0.3)
+        assert not validity_region("ARA", 0.9304).contains(0.3)
 
     def test_aldpc_mirror(self):
-        assert self_matched_condition(0.7, 0.9304, "ALDPC")
-        assert not self_matched_condition(0.3, 0.9304, "ALDPC")
+        assert validity_region("ALDPC", 0.9304).contains(0.7)
+        assert not validity_region("ALDPC", 0.9304).contains(0.3)
 
     @pytest.mark.parametrize(
         "family, b",
@@ -121,15 +122,12 @@ class TestSelfMatchedCondition:
         ],
     )
     def test_matches_region(self, family, b):
-        # the region reads TILTED_SIDES, the condition the side erasures
-        from aracodes.constructions import validity_region
-
         region = validity_region(family, b)
         for p in (region.lo + 1e-6, 0.5 * (region.lo + region.hi), region.hi - 1e-6):
-            assert self_matched_condition(p, b, family)
+            assert region.contains(p)
         for bound, outside in ((region.lo, region.lo - 1e-3), (region.hi, region.hi + 1e-3)):
             if 0.0 < bound < 1.0:
-                assert not self_matched_condition(outside, b, family)
+                assert not region.contains(outside)
 
 
 class TestFamilyVerifiers:

@@ -326,7 +326,7 @@ class TestRateAndComplexity:
     )
     def test_non_positive_rate_refused(self, name, M):
         # a deep truncation leaves more checks than punctured bits
-        pair = truncate_pair(cons.build_catalog_pair(name, 0.5, order=512), M, M)
+        pair = truncate_pair(cons.build_catalog_pair(name, 0.5, order=512), M)
         with pytest.raises(ValidityError, match="design rate"):
             design_rate(pair)
         with pytest.raises(ValidityError, match="design rate"):
@@ -384,7 +384,7 @@ class TestThresholdSearch:
 
     def test_dominating_truncation_keeps_threshold(self):
         pair = cons.self_matched_ara(0.5, order=256)
-        trunc = truncate_pair(pair, 29, 29)
+        trunc = truncate_pair(pair, 29)
         assert threshold_search(trunc, grid_n=400) >= 0.99 * 0.5
 
     def test_plain_chop_lowers_threshold_monotonically(self):
@@ -418,7 +418,7 @@ class TestThresholdSearch:
         evaluators, or truncated at ``order`` as ``de`` searches them."""
         pairs = [cons.build_catalog_pair(name, entry.representative_p, order=order)
                  for name, entry in sorted(cons.CATALOG.items())]
-        return pairs if exact else [truncate_pair(pair, order, order) for pair in pairs]
+        return pairs if exact else [truncate_pair(pair, order) for pair in pairs]
 
     def test_matches_reference_bisection(self):
         pairs = self.catalog_pairs(64, exact=False)
@@ -466,7 +466,7 @@ class TestThresholdSearch:
         return probes
 
     def test_aldpc_evaluates_each_series_once(self, monkeypatch):
-        pair = truncate_pair(cons.build_catalog_pair("self-matched-aldpc", 0.5, order=64), 64, 64)
+        pair = truncate_pair(cons.build_catalog_pair("self-matched-aldpc", 0.5, order=64), 64)
         counts = self.counted_calls(monkeypatch, pair)
         series = (pair.check.edge, pair.bit.node, pair.bit.edge)
         assert counts == {id(s): [1, 0] for s in series}
@@ -475,7 +475,7 @@ class TestThresholdSearch:
         # The end probes lo and hi run on the full grid; hi fails, so each
         # bisection step after them first evaluates the bit side at one
         # point, and runs the full grid only when that point passes.
-        pair = truncate_pair(cons.self_matched_ara(0.5, order=64), 64, 64)
+        pair = truncate_pair(cons.self_matched_ara(0.5, order=64), 64)
         counts = self.counted_calls(monkeypatch, pair)
         probes = self.bisection_probes()
         assert counts[id(pair.check.node)] == [1, 0]
