@@ -16,7 +16,7 @@ any polynomial bit side.
 
 Every derived side is a reduced ("tilted") node series with its exact
 mean, untilted where the family's graph reduction tilts it, and every
-matched image is evaluated by one by-parts integral.  Each pair carries
+matched image is evaluated by one by-parts integral.  Each side carries
 exact closed-form evaluators alongside its truncated coefficient arrays,
 so downstream fixed-point checks are not limited by truncation.
 :data:`CATALOG` is the one registry of the named families, one record of
@@ -162,18 +162,22 @@ def _check_coeffs(coeffs: np.ndarray, what: str) -> None:
         raise ValidityError(f"negative {what} coefficient {coeffs[worst]:.3e} at degree {worst}")
 
 
-def _untilted_side(tilde: PowerSeries, tilde_mean: float, side: str, q: float) -> DegreeDistribution:
+def _untilted_side(
+    tilde: PowerSeries, tilde_mean: float, side: str, q: float, fns: tuple[Callable, Callable]
+) -> DegreeDistribution:
     """A catalog side: reduced node series ``tilde`` with exact mean ``tilde_mean``,
-    untilted at erasure q.  The mean scales by the reduction's a (q on the bit
-    side, 1 - q on the check side); negative dust within tolerance is clipped."""
+    untilted at erasure q, with ``fns`` its exact (node, edge) evaluators.  The
+    mean scales by the reduction's a (q on the bit side, 1 - q on the check
+    side); negative dust within tolerance is clipped."""
     node = untilt_node(tilde, side, q)
     _check_coeffs(node.coeffs, f"{side} node")
-    return DegreeDistribution.from_node(
+    dist = DegreeDistribution.from_node(
         PowerSeries(np.maximum(node.coeffs, 0.0)),
         exact_mean=_weights(side, q)[0] * tilde_mean,
         allow_degree_one=side == "check",
         check_normalized=False,
     )
+    return replace(dist, fns=fns)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +216,14 @@ def _self_matched(family: str, p: float, b: Optional[float], order: int) -> Degr
     b = solve_b(p) if b is None else float(b)
     _require_valid(family, p, b)
     p_bit, p_check = side_erasures(family, p)
-    ratio = _ratio_series(b, order)
-    ratio_fns = _ratio_fns(b)
+    ratio, fns = _ratio_series(b, order), _ratio_fns(b)
     return DegreePair(
-        bit=_untilted_side(*ratio, "bit", p_bit),
-        check=_untilted_side(*ratio, "check", p_check),
+        bit=_untilted_side(*ratio, "bit", p_bit, _untilt_fns(*fns, "bit", p_bit)),
+        check=_untilted_side(*ratio, "check", p_check, _untilt_fns(*fns, "check", p_check)),
         family=family,
         p=p,
         b=b,
         label="self-matched",
-        bit_fns=_untilt_fns(*ratio_fns, "bit", p_bit),
-        check_fns=_untilt_fns(*ratio_fns, "check", p_check),
     )
 
 
@@ -294,14 +295,14 @@ def _bit_regular(family: str, p: float, order: int) -> DegreePair:
     :func:`matched_cubic_edge_fn`.
     """
     p_bit, p_check = side_erasures(family, p)
+    image = _image_node_series(monomial(3, 3), p_bit, order)
+    cube = (lambda x: np.asarray(x, dtype=float) ** 3, lambda x: np.asarray(x, dtype=float) ** 2)
     return DegreePair(
-        bit=DegreeDistribution.from_node(monomial(3, order)),
-        check=_untilted_side(*_image_node_series(monomial(3, 3), p_bit, order), "check", p_check),
+        bit=replace(DegreeDistribution.from_node(monomial(3, order)), fns=cube),
+        check=_untilted_side(*image, "check", p_check, _bit_regular_check_fns(family, p)),
         family=family,
         p=p,
         label="bit-regular-3",
-        bit_fns=(lambda x: np.asarray(x, dtype=float) ** 3, lambda x: np.asarray(x, dtype=float) ** 2),
-        check_fns=_bit_regular_check_fns(family, p),
     )
 
 

@@ -70,7 +70,6 @@ class ConvexityReport:
     verdict: str  # "pass" | "fail" | "inconclusive"
     min_second_difference: float
     integral: float
-    grid_n: int
     head_min: float
     symmetry_error: float
     min_location: float
@@ -133,7 +132,6 @@ def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityRepo
         verdict=verdict,
         min_second_difference=min_d2,
         integral=integral,
-        grid_n=grid_n,
         head_min=head_min,
         symmetry_error=sym_err,
         min_location=min_loc,

@@ -247,11 +247,23 @@ def truncate_bit(lam: PowerSeries, max_degree: int) -> tuple[PowerSeries, float]
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """A degree distribution held in node and edge perspective simultaneously."""
+    """A degree distribution held in node and edge perspective simultaneously.
+
+    ``fns`` holds the side's exact ``(node, edge)`` evaluators, for
+    constructions with closed forms; it defaults to the node and edge
+    series and is ignored by equality and serialization.  ``replace``
+    with a new node or edge keeps the old evaluators, so a side cut from
+    another is built with the constructor and evaluates its own series.
+    """
 
     node: PowerSeries
     edge: PowerSeries
     mean: float  # node-perspective mean degree (exact when known)
+    fns: Optional[tuple[Callable, Callable]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.fns is None:
+            object.__setattr__(self, "fns", (self.node, self.edge))
 
     @classmethod
     def from_node(
@@ -292,12 +304,7 @@ TILTED_SIDES = {"ARA": ("bit", "check"), "NSIRA": ("check",), "ALDPC": ("bit",)}
 
 @dataclass(frozen=True)
 class DegreePair:
-    """A matched (bit, check) degree-distribution pair with design metadata.
-
-    ``bit_fns`` / ``check_fns`` optionally hold exact ``(node, edge)``
-    evaluators for constructions with closed forms; they are ignored by
-    equality and serialization.
-    """
+    """A matched (bit, check) degree-distribution pair with design metadata."""
 
     bit: DegreeDistribution
     check: DegreeDistribution
@@ -305,8 +312,6 @@ class DegreePair:
     p: float
     b: Optional[float] = None
     label: str = ""
-    bit_fns: Optional[tuple[Callable, Callable]] = field(default=None, compare=False, repr=False)
-    check_fns: Optional[tuple[Callable, Callable]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in TILTED_SIDES:
@@ -316,19 +321,6 @@ class DegreePair:
         ratio = self.bit.mean / self.check.mean
         if not (np.isfinite(ratio) and ratio > 0.0):
             raise ValidityError("degenerate edge-count ratio")
-
-    # exact node/edge evaluators fall back to truncated-series evaluation
-    def bit_node_fn(self) -> Callable:
-        return self.bit_fns[0] if self.bit_fns else self.bit.node
-
-    def bit_edge_fn(self) -> Callable:
-        return self.bit_fns[1] if self.bit_fns else self.bit.edge
-
-    def check_node_fn(self) -> Callable:
-        return self.check_fns[0] if self.check_fns else self.check.node
-
-    def check_edge_fn(self) -> Callable:
-        return self.check_fns[1] if self.check_fns else self.check.edge
 
     def to_json(self) -> str:
         doc = {

@@ -54,8 +54,10 @@ class SimConfig:
             raise InvalidParameterError("sweep range must lie in (0, 1)")
         if self.p_stop < self.p_start:
             raise InvalidParameterError("p_stop must not lie below p_start")
-        if self.p_step <= 0.0:
-            raise InvalidParameterError("p_step must be positive")
+        if not 0.0 < self.p_step < np.inf:
+            raise InvalidParameterError("p_step must be positive and finite")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must not be negative")
         if not (isinstance(self.design_p, (int, float)) and 0.0 < self.design_p < 1.0):
             raise InvalidParameterError("design_p must lie in (0, 1)")
         if not (0.0 < self.alpha <= 1.0):

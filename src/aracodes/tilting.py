@@ -12,7 +12,7 @@ symmetry swap, and a truncation-aware threshold search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -134,9 +134,9 @@ def side_erasures(family: str, p: float) -> tuple[float, float]:
 def de_residual(pair: DegreePair, x, p: Optional[float] = None):
     """Fixed-point residual LHS(x) - x of the family's DE equation.
 
-    Uses the pair's exact evaluators when present, truncated series
-    otherwise.  Zero at every fixed point; negative everywhere on (0, 1)
-    means the decoder erasure probability contracts to zero.
+    Uses each side's evaluators, exact or its truncated series.  Zero at
+    every fixed point; negative everywhere on (0, 1) means the decoder
+    erasure probability contracts to zero.
     """
     p = _check_p(pair.p if p is None else p)
     out = _residual_fn(pair, np.asarray(x, dtype=float), p)(p)
@@ -160,11 +160,10 @@ def _residual_fn(pair: DegreePair, x: np.ndarray, p: float) -> Callable[..., np.
     series, so the value is the same bits as that entry of the full residual.
     """
     p_bit, p_check = side_erasures(pair.family, p)
-    check = _raw_values(pair.check_node_fn(), pair.check_edge_fn(), 1.0 - x, "check", p_check)
-    bit_fns = (pair.bit_node_fn(), pair.bit_edge_fn())
+    check = _raw_values(*pair.check.fns, 1.0 - x, "check", p_check)
 
     def bit_at(q_bit: float, q_check: float, at) -> tuple:
-        return _raw_values(*bit_fns, (1.0 - _tilt_values(*check, "check", q_check))[at], "bit", q_bit)
+        return _raw_values(*pair.bit.fns, (1.0 - _tilt_values(*check, "check", q_check))[at], "bit", q_bit)
 
     bit = bit_at(p_bit, p_check, ...) if p_check == 0.0 else None
 
@@ -270,16 +269,17 @@ def symmetry_swap(pair: DegreePair) -> DegreePair:
     satisfies its DE fixed-point equation maps to one that satisfies the
     swapped family's equation at the complementary erasure rate.
     """
-    return DegreePair(
-        bit=pair.check,
-        check=pair.bit,
-        family=_SWAP_FAMILY[pair.family],
-        p=1.0 - pair.p,
-        b=pair.b,
-        label=pair.label,
-        bit_fns=pair.check_fns,
-        check_fns=pair.bit_fns,
-    )
+    return replace(pair, bit=pair.check, check=pair.bit, family=_SWAP_FAMILY[pair.family], p=1.0 - pair.p)
+
+
+def _chop_side(dist: DegreeDistribution, max_degree: int) -> DegreeDistribution:
+    """One side with its edge mass above max_degree dropped, not renormalized.
+
+    The node series is cut at max_degree and the mean kept; the cut side
+    evaluates its own cut series, not the exact evaluators of ``dist``.
+    """
+    edge, _dropped = truncate_bit(dist.edge, max_degree)
+    return DegreeDistribution(node=dist.node.truncated(max_degree), edge=edge, mean=dist.mean)
 
 
 def truncate_pair(pair: DegreePair, max_degree: int) -> DegreePair:
@@ -289,12 +289,8 @@ def truncate_pair(pair: DegreePair, max_degree: int) -> DegreePair:
     bit mass above it is dropped outright, leaving the bit side
     sub-stochastic (those nodes become pilots in a finite realization).
     """
-    rho_hat = truncate_check(pair.check.edge, max_degree)
-    check = DegreeDistribution.from_edge(rho_hat)
-    lam_hat, _pilot = truncate_bit(pair.bit.edge, max_degree)
-    node_hat = pair.bit.node.truncated(max_degree)
-    bit = DegreeDistribution(node=node_hat, edge=lam_hat, mean=pair.bit.mean)
-    return DegreePair(bit=bit, check=check, family=pair.family, p=pair.p, b=pair.b, label=pair.label)
+    check = DegreeDistribution.from_edge(truncate_check(pair.check.edge, max_degree))
+    return replace(pair, check=check, bit=_chop_side(pair.bit, max_degree))
 
 
 def chop_pair(pair: DegreePair, max_degree: int) -> DegreePair:
@@ -304,15 +300,7 @@ def chop_pair(pair: DegreePair, max_degree: int) -> DegreePair:
     decodable region shrinks: its threshold sits strictly below the
     design erasure probability and climbs back as max_degree grows.
     """
-    lam_hat, _ = truncate_bit(pair.bit.edge, max_degree)
-    rho_hat, _ = truncate_bit(pair.check.edge, max_degree)
-    bit = DegreeDistribution(
-        node=pair.bit.node.truncated(max_degree), edge=lam_hat, mean=pair.bit.mean
-    )
-    check = DegreeDistribution(
-        node=pair.check.node.truncated(max_degree), edge=rho_hat, mean=pair.check.mean
-    )
-    return DegreePair(bit=bit, check=check, family=pair.family, p=pair.p, b=pair.b, label=pair.label)
+    return replace(pair, bit=_chop_side(pair.bit, max_degree), check=_chop_side(pair.check, max_degree))
 
 
 def threshold_search(pair: DegreePair, grid_n: int = 1000) -> float:

@@ -196,9 +196,9 @@ def tilted_edge(pair: DegreePair, side: str, p: Optional[float] = None) -> tuple
     """
     p_bit, p_check = side_erasures(pair.family, pair.p if p is None else p)
     if side == "bit":
-        dist, node_fn, edge_fn, q = pair.bit, pair.bit_node_fn(), pair.bit_edge_fn(), p_bit
+        dist, node_fn, edge_fn, q = pair.bit, pair.bit.fns[0], pair.bit.fns[1], p_bit
     else:
-        dist, node_fn, edge_fn, q = pair.check, pair.check_node_fn(), pair.check_edge_fn(), p_check
+        dist, node_fn, edge_fn, q = pair.check, pair.check.fns[0], pair.check.fns[1], p_check
     M = max(pair.bit.order, pair.check.order)
     series = tilt(dist.node, dist.edge.truncated(M), side, q)[1].truncated(M)
     values = lambda x: (np.asarray(node_fn(x), dtype=float), np.asarray(edge_fn(x), dtype=float))
@@ -230,10 +230,10 @@ def de_iterate(state: DEState, pair: DegreePair, p: float) -> DEState:
     per-layer schedule, kept separate from the collapsed fixed-point
     residual so the two can cross-validate each other.
     """
-    L = pair.bit_node_fn()
-    lam = pair.bit_edge_fn()
-    R = pair.check_node_fn()
-    rho = pair.check_edge_fn()
+    L = pair.bit.fns[0]
+    lam = pair.bit.fns[1]
+    R = pair.check.fns[0]
+    rho = pair.check.fns[1]
     x0 = 1.0 - (1.0 - state.x5) * (1.0 - p)
     x1 = x0 * x0 * float(lam(state.x4))
     x2 = 1.0 - float(R(1.0 - x1)) * (1.0 - state.x3)

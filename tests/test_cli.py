@@ -290,8 +290,12 @@ class TestSimulate:
             ["--k", "0", "--trials", "3", "--design-p", "0.5"],
             ["--k", "64", "--p-start", "0.5", "--p-stop", "0.4", "--design-p", "0.5"],
             ["--k", "64", "--design-p", "0.5", "--b", "0.9"],  # below the minimal b: no valid code
+            ["--k", "64", "--design-p", "0.5", "--p-step", "nan"],
+            ["--k", "64", "--design-p", "0.5", "--p-step", "inf"],
+            ["--k", "64", "--design-p", "0.5", "--seed", "-1"],
         ],
-        ids=["negative-outer", "outer-beyond-k", "k-zero", "reversed-range", "invalid-design"],
+        ids=["negative-outer", "outer-beyond-k", "k-zero", "reversed-range", "invalid-design",
+             "nan-step", "inf-step", "negative-seed"],
     )
     def test_empty_configurations_exit_2(self, capsys, tmp_path, extra):
         out_path = tmp_path / "empty.csv"

@@ -433,6 +433,17 @@ class TestInstantiate:
         with pytest.raises(InvalidParameterError):
             instantiate(self_matched_ara(0.5, order=64), k=k, d_L=30, d_R=30, m_outer=m_outer)
 
+    @pytest.mark.parametrize("d_L, d_R", [(1, 30), (30, 1)])
+    def test_degree_caps_below_two_rejected(self, d_L, d_R):
+        with pytest.raises(InvalidParameterError, match="d_L and d_R"):
+            instantiate(self_matched_ara(0.5, order=64), k=64, d_L=d_L, d_R=d_R)
+
+    def test_pilots_crowding_the_outer_tail_rejected(self):
+        # at d_L = 2 about half the bits are pilots: the 40 tail positions hold
+        # more of them than the 24 front positions hold free bits to swap with
+        with pytest.raises(ConstructionError, match="too many pilots"):
+            instantiate(self_matched_ara(0.5, order=64), k=64, d_L=2, d_R=12, m_outer=40)
+
     def test_no_information_bits_rejected(self):
         # every bit of degree 3 exceeds d_L = 2, so every bit becomes a pilot
         with pytest.raises(ConstructionError, match="no information bits"):

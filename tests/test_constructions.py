@@ -310,7 +310,7 @@ class TestMatchedCubicComplex:
         # the closed-form check evaluators and the pair's own series are
         # independent routes to the same functions
         z = 0.9 * np.exp(1j * np.linspace(0.0, np.pi, 97))
-        for fn, series in ((pair.check_edge_fn(), pair.check.edge), (pair.check_node_fn(), pair.check.node)):
+        for fn, series in ((pair.check.fns[1], pair.check.edge), (pair.check.fns[0], pair.check.node)):
             want = np.polynomial.polynomial.polyval(z, series.coeffs)
             assert np.max(np.abs(fn(z) - want)) <= 1e-12
 
@@ -349,7 +349,7 @@ class TestSolveCheckFromBit:
         ref = build_catalog_pair("bit-regular-ara", p, order=400)
         assert np.allclose(sol.R.coeffs, ref.check.node.coeffs, atol=1e-12)
         xs = np.linspace(0.0, 0.95, 24)
-        want = ref.check_node_fn()(xs)
+        want = ref.check.fns[0](xs)
         got = np.array([float(sol.R_fn(float(x))) for x in xs])
         assert np.max(np.abs(got - want)) < 1e-12
 

@@ -167,7 +167,7 @@ class TestFamilyVerifiers:
         # edge of check-regular NSIRA is the check edge of bit-regular ALDPC,
         # whose R'(1) = 3 (1 - 0) / (1 - p)
         p = 0.3
-        lam = build_catalog_pair("check-regular-nsira", p, order=16).bit_edge_fn()
+        lam = build_catalog_pair("check-regular-nsira", p, order=16).bit.fns[1]
         fn = lambda z: 3.0 * (1.0 - 0.0) / (1.0 - p) * lam(z) / z
         report = polya_verify(PolyaCandidate(fn=fn), GRID)
         assert polya_verify(check_side_candidate("ALDPC", 1.0 - p), GRID) == report
@@ -177,7 +177,7 @@ class TestFamilyVerifiers:
     def test_bitreg_ara_tests_the_family_check_side(self):
         # R'(z)/z = R'(1) rho(z)/z with R'(1) = 3(1-p)/p and rho the pair's check edge
         p = 0.2
-        rho = build_catalog_pair("bit-regular-ara", p, order=16).check_edge_fn()
+        rho = build_catalog_pair("bit-regular-ara", p, order=16).check.fns[1]
         fn = lambda z: 3.0 * (1.0 - p) / p * rho(z) / z
         report = polya_verify(PolyaCandidate(fn=fn), GRID)
         assert polya_verify(check_side_candidate("ARA", p), GRID) == report

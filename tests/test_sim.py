@@ -91,6 +91,11 @@ class TestConfig:
             small_config(p_start=0.0)
         with pytest.raises(InvalidParameterError):
             small_config(alpha=1.5)
+        for p_step in (0.0, -0.05, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="p_step"):
+                small_config(p_step=p_step)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            small_config(seed=-1)
 
     def test_reversed_range_rejected(self):
         with pytest.raises(InvalidParameterError, match="p_stop"):
@@ -266,6 +271,9 @@ class TestCsv:
             parse_csv(str(path))
         path.write_text(CSV_HEADER + "\n" + good + "0.35,0.002,0.02,0.5,0.02,40.5,0.002,0.03\n")
         with pytest.raises(ValueError, match="line 3"):  # trials is an integer column
+            parse_csv(str(path))
+        path.write_text(CSV_HEADER.replace("word_rate", "wer") + "\n" + good)
+        with pytest.raises(ValueError, match="unexpected header"):
             parse_csv(str(path))
 
     def test_word_rate_interval(self):

@@ -188,7 +188,7 @@ class TestEdgeTilt:
         lam_fn = tilted_edge(pair, "bit")[1]
         xs = np.linspace(0, 1, 17)
         # NSIRA leaves the bit side untouched
-        assert np.allclose(lam_fn(xs), pair.bit_edge_fn()(xs), atol=1e-14)
+        assert np.allclose(lam_fn(xs), pair.bit.fns[1](xs), atol=1e-14)
 
     def test_self_matched_tilts_to_rational(self):
         pair = cons.self_matched_ara(0.5, order=256)
@@ -393,6 +393,14 @@ class TestThresholdSearch:
         assert stars[0] < 0.5
         assert all(a < b for a, b in zip(stars, stars[1:]))
         assert stars[-1] == pytest.approx(0.5, abs=5e-3)
+
+    def test_search_bounds_are_returned(self):
+        # a plain chop at degree 16 leaves a fixed point even at the smallest
+        # probed p; a degree-1 fill down to degree 4 still decodes at the largest
+        chopped = chop_pair(cons.build_catalog_pair("self-matched-nsira", 0.5, order=256), 16)
+        assert threshold_search(chopped) == 0.0
+        truncated = truncate_pair(cons.build_catalog_pair("bit-regular-aldpc", 0.5, order=64), 4)
+        assert threshold_search(truncated) == 1.0 - 1e-4
 
     @staticmethod
     def reference_search(pair, grid_n=1000, p_tol=1e-5, resid_tol=1e-9):
