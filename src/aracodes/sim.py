@@ -207,7 +207,7 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     have a finite-length realization, so ``codec.instantiate`` rejects any
     other family.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     result = SimResult(config=cfg)
     workers = _worker_count(cfg)
     pair = build_catalog_pair(cfg.family, cfg.design_p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven)
@@ -234,7 +234,7 @@ def run_sweep(cfg: SimConfig) -> SimResult:
             result.table.append((p, bit_fails / info_bits, word_fails / n, unresolved / n, rescued / n, n,
                                  peel_bit_fails / info_bits, (word_fails + rescued) / n))
 
-    result.wall_time = time.time() - t_start
+    result.wall_time = time.perf_counter() - t_start
     return result
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -253,6 +254,28 @@ class TestGF2:
                 kinds["full"] += 1
         assert min(kinds.values()) >= 200, kinds
 
+    @pytest.mark.parametrize("shape", [(24, 20), (56, 48), (320, 300)])
+    def test_fixed_shapes_match_loop_reference(self, shape):
+        # the mean oracle system, the widest outer system the benchmark
+        # draws, and one past the size where a single packed int stops paying
+        rng = np.random.default_rng(shape[0])
+        for _ in range(3):
+            A, b = random_system(rng, *shape)
+            rank, pivots, R, rb = gf2_eliminate(A, b)
+            ref = loop_eliminate(A, b)
+            assert rank == ref[0] and pivots == ref[1]
+            assert np.array_equal(R, ref[2]) and np.array_equal(rb, ref[3])
+
+    def test_rows_below_the_rank_keep_their_b_bits(self):
+        # tall, rank 6 of 12 columns, b not in the column space: the b bits
+        # of the 54 zero rows depend on every swap and row sum made
+        A, b = random_system(np.random.default_rng(61), 60, 12, rank_cap=6)
+        rank, pivots, R, rb = gf2_eliminate(A, b)
+        ref = loop_eliminate(A, b)
+        assert rank == ref[0] == 6 and pivots == ref[1]
+        assert not R[rank:].any() and 0 < rb[rank:].sum() < 60 - rank
+        assert np.array_equal(R, ref[2]) and np.array_equal(rb, ref[3])
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (0, 70), (4, 0), (70, 0)])
     def test_empty_systems(self, shape):
         rows, cols = shape
@@ -328,6 +351,55 @@ class TestMLReference:
                 unique_count += unique
                 n += 1
         assert 200 <= unique_count <= n - 200
+
+    def test_cached_rows_follow_their_instance(self, systems):
+        # two graphs of one shape from different seeds, decoded in turn:
+        # each system is built from its own instance's rows
+        pair = self_matched_ara(0.5, order=64)
+        insts = [instantiate(pair, k=14, d_L=12, d_R=12, m_outer=2, seed=s) for s in (1, 2)]
+        assert insts[0].n_checks == insts[1].n_checks
+        assert len(insts[0].pilot_set) == len(insts[1].pilot_set)
+        assert not np.array_equal(insts[0].edge_targets, insts[1].edge_targets)
+        rng = np.random.default_rng(14)
+        words = [encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8)) for inst in insts]
+        for i in range(40):
+            self.check_against_loop(systems, insts[i % 2], erase(words[i % 2], rng, 0.4))
+        assert insts[0].ml_rows.shape == insts[1].ml_rows.shape
+        assert not np.array_equal(insts[0].ml_rows, insts[1].ml_rows)
+
+    def test_cached_rows_are_read_only(self):
+        inst = instantiate(self_matched_ara(0.5, order=64), k=16, d_L=12, d_R=12, m_outer=3, seed=4)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.ml_rows[0, 0] ^= 1
+
+    def test_decode_and_sweeps_never_build_the_rows(self, monkeypatch):
+        from aracodes import sim
+
+        pair = self_matched_ara(0.5, order=64)
+        inst = instantiate(pair, k=64, d_L=12, d_R=12, m_outer=4, seed=2)
+        cw = encode(inst, np.zeros(inst.info_len, dtype=np.uint8))
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            decode(inst, erase(cw, rng, 0.4))
+        built = [inst]
+
+        def keep(*args, **kwargs):
+            built.append(instantiate(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(codec, "instantiate", keep)
+        sim.run_sweep(sim.SimConfig(family="self-matched-ara", design_p=0.5, p_start=0.4, p_stop=0.45,
+                                    p_step=0.05, k=128, trials=4, m_outer=4, order=64, workers=1))
+        assert len(built) == 2
+        assert not any("ml_rows" in vars(i) for i in built)
+
+    def test_instance_equality_ignores_the_rows(self):
+        inst = instantiate(self_matched_ara(0.5, order=64), k=16, d_L=12, d_R=12, m_outer=3, seed=4)
+        twin = copy.copy(inst)  # shares the arrays, not the cache
+        inst.ml_rows
+        assert "ml_rows" in vars(inst) and "ml_rows" not in vars(twin)
+        assert inst == twin
+        assert "ml_rows" not in {f.name for f in dataclasses.fields(inst)}
 
     # name -> (instance builder, what the instance must show)
     EDGE_INSTANCES = {

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +218,12 @@ class TestSweep:
         res = run_sweep(cfg)
         assert res.column("word_rate")[0] < 0.2
         assert res.column("word_rate")[1] > 0.8
+
+    def test_wall_time_survives_a_clock_step(self, monkeypatch):
+        # a wall clock stepped back during the sweep cannot make its duration negative
+        ticks = itertools.count(0.0, -1000.0)
+        monkeypatch.setattr(time, "time", lambda: next(ticks))
+        assert run_sweep(small_config(trials=4, workers=1)).wall_time >= 0.0
 
     def test_worker_pool_matches_serial(self):
         # two points, so the one pool of the sweep serves more than one
