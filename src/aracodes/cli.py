@@ -130,7 +130,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--design-p", type=float, required=True,
                        help="erasure probability the one code of the sweep is designed at")
-    p_sim.add_argument("--alpha", type=float)
     p_sim.add_argument("--outer-m", dest="m_outer", metavar="OUTER_M", type=int)
     p_sim.add_argument("--d-l", dest="d_L", type=int)
     p_sim.add_argument("--d-r", dest="d_R", type=int)

@@ -103,10 +103,6 @@ class CodeInstance:
     check_offsets: np.ndarray  # len(check_degrees) + 1 prefix offsets
     pilot_set: np.ndarray  # sorted punctured-bit indices forced to zero
     outer_P: np.ndarray  # m x (k - m) binary matrix
-    family: str
-    seed: int
-    d_L: int
-    d_R: int
 
     @property
     def n_checks(self) -> int:
@@ -250,14 +246,7 @@ def instantiate(
     )
     for arr in arrays.values():
         arr.flags.writeable = False
-    return CodeInstance(
-        k=k,
-        **arrays,
-        family=pair.family,
-        seed=seed,
-        d_L=d_L,
-        d_R=d_R,
-    )
+    return CodeInstance(k=k, **arrays)
 
 
 # ---------------------------------------------------------------------------

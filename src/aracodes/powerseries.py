@@ -34,7 +34,7 @@ class NumericDomainError(ArithmeticError):
 
 
 class InvalidParameterError(ValueError):
-    """A design parameter (p, b, alpha, ...) is outside its admissible range."""
+    """A design parameter (p, b, ...) is outside its admissible range."""
 
 
 class ValidityError(ValueError):
@@ -225,24 +225,16 @@ def truncate_check(rho: PowerSeries, max_degree: int) -> PowerSeries:
     return PowerSeries(out)
 
 
-def truncate_bit(lam: PowerSeries, max_degree: int) -> tuple[PowerSeries, float]:
-    """Drop edge mass of bit degrees above max_degree without renormalizing.
-
-    Returns the clipped series and the dropped node-perspective mass (the
-    fraction of bit nodes that become pilots in a finite realization).
-    """
+def truncate_bit(lam: PowerSeries, max_degree: int) -> PowerSeries:
+    """Drop edge mass of bit degrees above max_degree without renormalizing."""
     if max_degree < 2:
         raise InvalidParameterError("max_degree must be at least 2")
-    k = np.arange(1, len(lam.coeffs) + 1)
-    node_mass = lam.coeffs / k
-    total = float(node_mass.sum())
-    if total <= 0.0:
+    if float((lam.coeffs / np.arange(1, len(lam.coeffs) + 1)).sum()) <= 0.0:
         raise DegenerateInputError("edge distribution has no mass")
-    dropped = float(node_mass[max_degree:].sum()) / total
-    out = lam.coeffs[:max_degree].copy()
-    if len(out) < max_degree:
-        out = np.concatenate([out, np.zeros(max_degree - len(out))])
-    return PowerSeries(out), dropped
+    out = np.zeros(max_degree)
+    keep = min(max_degree, len(lam.coeffs))
+    out[:keep] = lam.coeffs[:keep]
+    return PowerSeries(out)
 
 
 @dataclass(frozen=True)

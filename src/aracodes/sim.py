@@ -41,7 +41,6 @@ class SimConfig:
     d_L: int = 30
     d_R: int = 30
     m_outer: int = 0
-    alpha: float = 1.0
     b: Optional[float] = None
     order: int = 256
     allow_unproven: ClassVar[bool] = True  # sweeps accept the observed validity ranges
@@ -60,8 +59,6 @@ class SimConfig:
             raise InvalidParameterError("seed must not be negative")
         if not (isinstance(self.design_p, (int, float)) and 0.0 < self.design_p < 1.0):
             raise InvalidParameterError("design_p must lie in (0, 1)")
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidParameterError("alpha must lie in (0, 1]")
         if self.workers < 0:
             raise InvalidParameterError("workers must not be negative")
 
@@ -126,36 +123,16 @@ class SimResult:
         return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def bec_channel(
-    cw: codec.Codeword,
-    p: float,
-    seed=0,
-    puncture_mask: Optional[np.ndarray] = None,
-) -> codec.ReceivedWord:
-    """Erase each transmitted position independently with probability p.
-
-    Positions in ``puncture_mask`` (see :func:`make_puncture_mask`) are
-    never transmitted, so they are erased regardless of the channel draw.
-    """
+def bec_channel(cw: codec.Codeword, p: float, seed=0) -> codec.ReceivedWord:
+    """Erase each transmitted position independently with probability p."""
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     erased = rng.random(cw.n) < p
-    if puncture_mask is not None:
-        erased |= puncture_mask
     k = len(cw.u)
     u_vals = np.where(erased[:k], -1, cw.u).astype(np.int8)
     z_vals = np.where(erased[k:], -1, cw.z).astype(np.int8)
     return codec.ReceivedWord(u_vals=u_vals, z_vals=z_vals)
-
-
-def make_puncture_mask(n: int, alpha: float, seed) -> np.ndarray:
-    """Deterministic never-transmitted position set of size round((1-alpha) n)."""
-    rng = np.random.default_rng(seed)
-    n_punct = int(round((1.0 - alpha) * n))
-    mask = np.zeros(n, dtype=bool)
-    mask[rng.choice(n, size=n_punct, replace=False)] = True
-    return mask
 
 
 def _trial_batch(
@@ -165,7 +142,6 @@ def _trial_batch(
     p_index: int,
     trial_lo: int,
     trial_hi: int,
-    puncture_mask: Optional[np.ndarray],
 ) -> tuple[int, int, float, int, int]:
     """Run trials [lo, hi); returns (word_fails, rescued, unresolved_sum, bit_fails, peel_bit_fails)."""
     word_fails = rescued = bit_fails = peel_bit_fails = 0
@@ -177,7 +153,7 @@ def _trial_batch(
         cw = codec.encode(inst, info)
         # channel randomness must not depend on the info word
         chan_ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(p_index, t, 1))
-        rcv = bec_channel(cw, p, chan_ss, puncture_mask)
+        rcv = bec_channel(cw, p, chan_ss)
         res = codec.decode(inst, rcv)
         word_fails += not res.success
         rescued += res.rescued_by_outer
@@ -194,9 +170,12 @@ def _worker_count(cfg: SimConfig) -> int:
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
-        raise InvalidParameterError(f"{WORKER_ENV} must be an integer, not {env!r}") from None
+        workers = 0
+    if workers < 1:
+        raise InvalidParameterError(f"{WORKER_ENV} must be a positive integer, not {env!r}")
+    return workers
 
 
 def run_sweep(cfg: SimConfig) -> SimResult:
@@ -212,7 +191,6 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     workers = _worker_count(cfg)
     pair = build_catalog_pair(cfg.family, cfg.design_p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven)
     inst = codec.instantiate(pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed)
-    mask = make_puncture_mask(inst.n, cfg.alpha, cfg.seed) if cfg.alpha < 1.0 else None
 
     # one pool serves every point; without one the trials run in-process
     use_pool = workers > 1 and cfg.trials >= 2 * workers
@@ -228,7 +206,7 @@ def run_sweep(cfg: SimConfig) -> SimResult:
         run = pool.map if use_pool else map
         for p_index, p in enumerate(cfg.p_values()):
             p = float(p)
-            batch = functools.partial(_trial_batch, inst, cfg, p, p_index, puncture_mask=mask)
+            batch = functools.partial(_trial_batch, inst, cfg, p, p_index)
             parts = run(batch, bounds[:-1], bounds[1:])
             word_fails, rescued, unresolved, bit_fails, peel_bit_fails = map(sum, zip(*parts))
             result.table.append((p, bit_fails / info_bits, word_fails / n, unresolved / n, rescued / n, n,

@@ -278,7 +278,7 @@ def _chop_side(dist: DegreeDistribution, max_degree: int) -> DegreeDistribution:
     The node series is cut at max_degree and the mean kept; the cut side
     evaluates its own cut series, not the exact evaluators of ``dist``.
     """
-    edge, _dropped = truncate_bit(dist.edge, max_degree)
+    edge = truncate_bit(dist.edge, max_degree)
     return DegreeDistribution(node=dist.node.truncated(max_degree), edge=edge, mean=dist.mean)
 
 

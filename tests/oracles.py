@@ -82,10 +82,6 @@ def received_from_string(text: str) -> ReceivedWord:
 def instance_descriptor(inst: CodeInstance) -> str:
     doc = {
         "k": inst.k,
-        "family": inst.family,
-        "seed": inst.seed,
-        "d_L": inst.d_L,
-        "d_R": inst.d_R,
         "check_degrees": inst.check_degrees.tolist(),
         "bit_degrees": inst.bit_degrees.tolist(),
         "pilots": inst.pilot_set.tolist(),

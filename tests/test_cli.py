@@ -239,15 +239,18 @@ class TestSimulate:
         assert all(len(row) == 8 for row in sim.parse_csv(str(out_path)))
 
     def test_no_outer_flag_removed(self, capsys, tmp_path):
-        # one sweep reports peeling alone in its peel_* columns
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "simulate", "--family", "self-matched-ara", "--p-start", "0.35", "--p-stop", "0.4",
-                "--p-step", "0.05", "--k", "64", "--design-p", "0.5", "--no-outer",
-                "--out", str(tmp_path / "x.csv"),
-            ])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --no-outer" in capsys.readouterr().err
+        # one sweep reports peeling alone in its peel_* columns; every sweep
+        # transmits all of its positions, so there is no puncturing share
+        out_path = tmp_path / "x.csv"
+        for removed in (["--no-outer"], ["--alpha", "0.5"]):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "simulate", "--family", "self-matched-ara", "--p-start", "0.35", "--p-stop", "0.4",
+                    "--p-step", "0.05", "--k", "64", "--design-p", "0.5", *removed, "--out", str(out_path),
+                ])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+            assert not out_path.exists()
 
     def test_non_ara_family_exit_code(self, capsys, tmp_path):
         out_path = tmp_path / "nsira.csv"
@@ -271,16 +274,17 @@ class TestSimulate:
         assert "error" in err
 
     def test_malformed_worker_env_exit_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ARACODES_WORKERS", "abc")
         out_path = tmp_path / "workers.csv"
-        code, _, err = run_cli(
-            capsys, "simulate", "--family", "self-matched-ara",
-            "--p-start", "0.35", "--p-stop", "0.4", "--p-step", "0.05",
-            "--k", "256", "--trials", "2", "--design-p", "0.5", "--out", str(out_path),
-        )
-        assert code == 2
-        assert "ARACODES_WORKERS" in err
-        assert not out_path.exists()
+        for value in ("abc", "0", "-3"):
+            monkeypatch.setenv("ARACODES_WORKERS", value)
+            code, _, err = run_cli(
+                capsys, "simulate", "--family", "self-matched-ara",
+                "--p-start", "0.35", "--p-stop", "0.4", "--p-step", "0.05",
+                "--k", "256", "--trials", "2", "--design-p", "0.5", "--out", str(out_path),
+            )
+            assert code == 2
+            assert "ARACODES_WORKERS" in err
+            assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "extra",

@@ -50,10 +50,6 @@ def instance_from_checks(k, checks):
         check_offsets=np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
         pilot_set=np.empty(0, dtype=np.int64),
         outer_P=np.zeros((0, k), dtype=np.uint8),
-        family="ARA",
-        seed=0,
-        d_L=8,
-        d_R=8,
     )
 
 

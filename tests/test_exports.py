@@ -3,7 +3,7 @@ import types
 from pathlib import Path
 
 import aracodes
-from aracodes import constructions, nonneg, powerseries, tilting
+from aracodes import constructions, nonneg, powerseries, sim, tilting
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,6 +21,7 @@ GONE = {
     ],
     nonneg: ["verify_bitreg_ara", "verify_checkreg_nsira", "self_matched_condition"],
     powerseries: ["binomial_series", "t_operator"],
+    sim: ["make_puncture_mask"],
 }
 
 
