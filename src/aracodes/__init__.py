@@ -1,14 +1,6 @@
 """Degree-distribution design workbench for accumulate-repeat-accumulate erasure codes."""
 
-from .powerseries import (
-    DegreeDistribution,
-    DegreePair,
-    PowerSeries,
-    edge_from_node,
-    node_from_edge,
-    truncate_bit,
-    truncate_check,
-)
+from .powerseries import DegreeDistribution, DegreePair, PowerSeries, edge_from_node, node_from_edge
 from .tilting import (
     chop_pair,
     complexity,
@@ -34,7 +26,6 @@ from .constructions import (
 __all__ = [
     # power series and degree distributions
     "DegreeDistribution", "DegreePair", "PowerSeries", "edge_from_node", "node_from_edge",
-    "truncate_bit", "truncate_check",
     # graph reduction and density evolution
     "chop_pair", "complexity", "de_residual", "design_rate", "stability", "symmetry_swap",
     "threshold_search", "tilt", "truncate_pair", "untilt", "untilt_node",

@@ -13,7 +13,7 @@ import numpy as np
 from . import nonneg, sim, tilting
 from .constructions import CATALOG, build_catalog_pair
 from .powerseries import (
-    DegenerateInputError, InvalidInputError, InvalidParameterError, NumericDomainError, ValidityError,
+    DEFAULT_ORDER, DegenerateInputError, InvalidInputError, InvalidParameterError, NumericDomainError, ValidityError,
 )
 from .codec import ConstructionError
 
@@ -25,7 +25,7 @@ def _add_pair_args(sub: argparse.ArgumentParser, builds: bool) -> None:
     sub.add_argument("--b", type=_parse_b, default=None,
                      help="series parameter of the self-matched families, or 'auto' to solve for it")
     unread = "not read by verify; accepted so the design commands share one argument list"
-    sub.add_argument("--M", type=int, default=512, help="series truncation depth" if builds else unread)
+    sub.add_argument("--M", type=int, default=DEFAULT_ORDER, help="series truncation depth" if builds else unread)
     if builds:
         sub.add_argument(
             "--allow-unproven",
@@ -115,7 +115,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ver = subs.add_parser("verify", help="non-negativity verification report")
     _add_pair_args(p_ver, builds=False)
-    p_ver.add_argument("--grid", type=int, default=8192)
+    p_ver.add_argument("--grid", type=int, default=nonneg.DEFAULT_GRID)
     p_ver.set_defaults(func=cmd_verify)
 
     # each option's dest is the SimConfig field it sets; the field holds its default

@@ -161,8 +161,10 @@ def instantiate(
 
     Node counts come from largest-remainder rounding; checks above d_R are
     clipped to d_R, bits above d_L become pilots (keeping their degree).
+    Tail pilots move ahead of the outer-coded tail, onto the first free bits.
     The socket-count mismatch left by independent rounding is repaired on
-    the most numerous check degree, with at most one odd-sized check.
+    the first checks of the dominant (most numerous, then smallest) check
+    degree, with at most one odd-sized check.
     """
     if pair.family != "ARA":
         raise ConstructionError("finite-length realization currently covers ARA graphs only")
@@ -172,60 +174,41 @@ def instantiate(
         raise InvalidParameterError("need k >= 1 and 0 <= m_outer < k")
     rng = np.random.default_rng(seed)
 
-    bit_fracs = pair.bit.node.coeffs.copy()
-    if bit_fracs[:2].sum() > 1e-9:
+    if pair.bit.node.coeffs[:2].sum() > 1e-9:
         raise ConstructionError("bit distribution has degree-0/1 mass")
-    bit_counts = _largest_remainder(bit_fracs, k)
-    bit_degrees = np.repeat(np.arange(len(bit_counts)), bit_counts)
-    bit_degrees = rng.permutation(bit_degrees)
+    bit_counts = _largest_remainder(pair.bit.node.coeffs, k)
+    bit_degrees = rng.permutation(np.repeat(np.arange(len(bit_counts)), bit_counts))
 
-    # pilots must stay clear of the outer-coded tail positions
-    pilot_mask = bit_degrees > d_L
-    if m_outer > 0:
-        tail = np.flatnonzero(pilot_mask[k - m_outer :]) + (k - m_outer)
-        front_free = np.flatnonzero(~pilot_mask[: k - m_outer])
-        if len(tail) > len(front_free):
-            raise ConstructionError("too many pilots to keep the outer-coded tail clear")
-        for t, f in zip(tail, front_free[: len(tail)]):
-            bit_degrees[t], bit_degrees[f] = bit_degrees[f], bit_degrees[t]
-        pilot_mask = bit_degrees > d_L
-    pilot_set = np.flatnonzero(pilot_mask)
+    head = k - m_outer
+    tail = np.flatnonzero(bit_degrees[head:] > d_L) + head
+    free = np.flatnonzero(bit_degrees[:head] <= d_L)[: len(tail)]
+    if len(free) < len(tail):
+        raise ConstructionError("too many pilots to keep the outer-coded tail clear")
+    bit_degrees[np.concatenate([tail, free])] = bit_degrees[np.concatenate([free, tail])]
+    pilot_set = np.flatnonzero(bit_degrees > d_L)
     if k - len(pilot_set) - m_outer < 1:
         raise ConstructionError("pilots and outer parities leave no information bits")
     n_edges = int(bit_degrees.sum())
 
-    check_fracs = pair.check.node.coeffs.copy()
-    mean_check = float(
-        np.dot(np.arange(len(check_fracs)), check_fracs) / max(check_fracs.sum(), 1e-300)
-    )
+    check_fracs = pair.check.node.coeffs
+    mean_check = float(np.dot(np.arange(len(check_fracs)), check_fracs) / max(check_fracs.sum(), 1e-300))
     n_checks = max(1, int(round(n_edges / mean_check)))
     check_counts = _largest_remainder(check_fracs, n_checks)
-    if len(check_counts) > d_R + 1:
-        check_counts[d_R] += int(check_counts[d_R + 1 :].sum())
-        check_counts = check_counts[: d_R + 1]
-    check_degrees = np.repeat(np.arange(len(check_counts)), check_counts)
+    check_degrees = np.minimum(np.repeat(np.arange(len(check_counts)), check_counts), d_R)
 
     deficit = n_edges - int(check_degrees.sum())
-    if len(check_degrees) == 0:
-        raise ConstructionError("no check nodes after quantization")
-    degrees_present, present_counts = np.unique(check_degrees, return_counts=True)
-    d_star = int(degrees_present[np.argmax(present_counts)])
-    if deficit > 0:
-        extra = [d_star] * (deficit // d_star)
-        if deficit % d_star:
-            extra.append(deficit % d_star)
-        check_degrees = np.concatenate([check_degrees, extra]).astype(int)
-    elif deficit < 0:
-        remove = (-deficit) // d_star
-        leftover = (-deficit) % d_star
-        star_idx = np.flatnonzero(check_degrees == d_star)
-        if len(star_idx) < remove + (1 if leftover else 0):
-            raise ConstructionError("socket repair would exhaust the dominant check degree")
-        keep = np.ones(len(check_degrees), dtype=bool)
-        keep[star_idx[:remove]] = False
-        if leftover:
-            check_degrees[star_idx[remove]] = d_star - leftover
-        check_degrees = check_degrees[keep]
+    d_star = int(np.bincount(check_degrees).argmax())
+    if deficit:
+        whole, part = divmod(abs(deficit), d_star)
+        if deficit > 0:
+            check_degrees = np.concatenate([check_degrees, [d_star] * whole + [part] * (part > 0)])
+        else:
+            star_idx = np.flatnonzero(check_degrees == d_star)
+            if len(star_idx) < whole + (part > 0):
+                raise ConstructionError("socket repair would exhaust the dominant check degree")
+            if part:
+                check_degrees[star_idx[whole]] -= part
+            check_degrees = np.delete(check_degrees, star_idx[:whole])
     check_degrees = rng.permutation(check_degrees)
     if int(check_degrees.sum()) != n_edges:
         raise ConstructionError("socket counts failed to match after repair")

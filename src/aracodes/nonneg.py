@@ -45,6 +45,8 @@ CONVEXITY_TOL = 1e-4
 INTEGRAL_TOL = 1e-8
 #: Series terms (coefficients 2 .. 7) stripped from the self-matched candidate.
 SELF_MATCHED_STRIP = 6
+#: Default number of points on the circle criterion's test arc.
+DEFAULT_GRID = 8192
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class ConvexityReport:
     min_location: float
 
 
-def polya_verify(candidate: PolyaCandidate, grid_n: int = 8192) -> ConvexityReport:
+def polya_verify(candidate: PolyaCandidate, grid_n: int = DEFAULT_GRID) -> ConvexityReport:
     """Run the circle criterion: symmetry, convexity, integral, head signs.
 
     Convexity is tested by central second differences, held to
@@ -221,7 +223,7 @@ def first_coefficients_min(family: str, p: float, order: int = 200) -> float:
     return float(matched_check_node_series(monomial(3, 3), entry.base_tag, p_base, order).coeffs.min())
 
 
-def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int = 8192) -> dict:
+def verify_family(family: str, p: float, b: Optional[float] = None, grid_n: int = DEFAULT_GRID) -> dict:
     """Non-negativity report of a catalog family at design p, as a JSON-ready dict.
 
     The route comes from the family's record.  Self-matched families get the

@@ -208,35 +208,6 @@ def node_from_edge(edge: PowerSeries) -> PowerSeries:
     return PowerSeries(np.concatenate([[0.0], weighted / total]))
 
 
-def truncate_check(rho: PowerSeries, max_degree: int) -> PowerSeries:
-    """Move edge mass of check degrees above max_degree onto degree 1.
-
-    The input is read as a normalized edge distribution (any mass missing
-    from the stored coefficients counts as tail), so the result sums to 1
-    exactly and dominates the input pointwise on [0, 1) whenever tail
-    mass is present.
-    """
-    if max_degree < 2:
-        raise InvalidParameterError("max_degree must be at least 2")
-    out = np.zeros(max_degree)
-    keep = min(max_degree, len(rho.coeffs))
-    out[:keep] = rho.coeffs[:keep]
-    out[0] = 1.0 - float(out[1:].sum())
-    return PowerSeries(out)
-
-
-def truncate_bit(lam: PowerSeries, max_degree: int) -> PowerSeries:
-    """Drop edge mass of bit degrees above max_degree without renormalizing."""
-    if max_degree < 2:
-        raise InvalidParameterError("max_degree must be at least 2")
-    if float((lam.coeffs / np.arange(1, len(lam.coeffs) + 1)).sum()) <= 0.0:
-        raise DegenerateInputError("edge distribution has no mass")
-    out = np.zeros(max_degree)
-    keep = min(max_degree, len(lam.coeffs))
-    out[:keep] = lam.coeffs[:keep]
-    return PowerSeries(out)
-
-
 @dataclass(frozen=True)
 class DegreeDistribution:
     """A degree distribution held in node and edge perspective simultaneously.

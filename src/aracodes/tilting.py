@@ -18,6 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .powerseries import (
+    DegenerateInputError,
     DegreeDistribution,
     DegreePair,
     InvalidParameterError,
@@ -25,8 +26,6 @@ from .powerseries import (
     PowerSeries,
     TILTED_SIDES,
     ValidityError,
-    truncate_bit,
-    truncate_check,
 )
 
 
@@ -272,24 +271,33 @@ def symmetry_swap(pair: DegreePair) -> DegreePair:
     return replace(pair, bit=pair.check, check=pair.bit, family=_SWAP_FAMILY[pair.family], p=1.0 - pair.p)
 
 
+def _check_max_degree(max_degree: int) -> None:
+    if max_degree < 2:
+        raise InvalidParameterError("max_degree must be at least 2")
+
+
 def _chop_side(dist: DegreeDistribution, max_degree: int) -> DegreeDistribution:
     """One side with its edge mass above max_degree dropped, not renormalized.
 
     The node series is cut at max_degree and the mean kept; the cut side
     evaluates its own cut series, not the exact evaluators of ``dist``.
     """
-    edge = truncate_bit(dist.edge, max_degree)
-    return DegreeDistribution(node=dist.node.truncated(max_degree), edge=edge, mean=dist.mean)
+    if float((dist.edge.coeffs / np.arange(1, len(dist.edge.coeffs) + 1)).sum()) <= 0.0:
+        raise DegenerateInputError("edge distribution has no mass")
+    return DegreeDistribution(dist.node.truncated(max_degree), dist.edge.truncated(max_degree - 1), dist.mean)
 
 
 def truncate_pair(pair: DegreePair, max_degree: int) -> DegreePair:
     """Finite-maximum-degree version of a pair.
 
-    Check mass above ``max_degree`` becomes degree-1 mass (renormalized);
-    bit mass above it is dropped outright, leaving the bit side
-    sub-stochastic (those nodes become pilots in a finite realization).
+    Check mass above ``max_degree``, stored or not, becomes degree-1 mass
+    (1 minus the rest); bit mass above it is dropped outright, leaving the
+    bit side sub-stochastic (those nodes become pilots in a finite realization).
     """
-    check = DegreeDistribution.from_edge(truncate_check(pair.check.edge, max_degree))
+    _check_max_degree(max_degree)
+    edge = pair.check.edge.truncated(max_degree - 1).coeffs.copy()
+    edge[0] = 1.0 - float(edge[1:].sum())
+    check = DegreeDistribution.from_edge(PowerSeries(edge))
     return replace(pair, check=check, bit=_chop_side(pair.bit, max_degree))
 
 
@@ -300,6 +308,7 @@ def chop_pair(pair: DegreePair, max_degree: int) -> DegreePair:
     decodable region shrinks: its threshold sits strictly below the
     design erasure probability and climbs back as max_degree grows.
     """
+    _check_max_degree(max_degree)
     return replace(pair, bit=_chop_side(pair.bit, max_degree), check=_chop_side(pair.check, max_degree))
 
 

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from aracodes.codec import (
     peel_decode,
 )
 from aracodes.constructions import self_matched_ara
-from aracodes.powerseries import DegreeDistribution, DegreePair, InvalidParameterError, monomial
+from aracodes.powerseries import DegreeDistribution, DegreePair, InvalidParameterError, PowerSeries, monomial
 from oracles import (
     check_codeword,
     codeword_to_string,
@@ -36,6 +38,26 @@ def regular_pair():
     bit = DegreeDistribution.from_node(monomial(3, 8), exact_mean=3.0)
     check = DegreeDistribution.from_node(monomial(3, 8), exact_mean=3.0, allow_degree_one=True)
     return DegreePair(bit=bit, check=check, family="ARA", p=0.5)
+
+
+def hand_pair(bit_degree, check_fracs):
+    """ARA pair of bit-regular degree ``bit_degree`` and check node fractions ``{degree: fraction}``."""
+    check_node = np.zeros(9)
+    for degree, frac in check_fracs.items():
+        check_node[degree] = frac
+    bit = DegreeDistribution.from_node(monomial(bit_degree, 8), exact_mean=float(bit_degree))
+    check = DegreeDistribution.from_node(PowerSeries(check_node), allow_degree_one=True)
+    return DegreePair(bit=bit, check=check, family="ARA", p=0.5)
+
+
+#: Hand-made pairs that reach each branch of instantiate's socket repair, as
+#: name: (pair, k, d_R, sorted check degrees or the error message).
+REPAIR_CASES = {
+    "shortfall": (hand_pair(2, {2: 0.5, 4: 0.5}), 5, 8, [2, 2, 2, 4]),
+    "surplus": (hand_pair(3, {2: 0.5, 5: 0.5}), 9, 8, [1, 2, 2, 2, 5, 5, 5, 5]),
+    "clip": (hand_pair(3, {2: 0.5, 5: 0.5}), 9, 4, [1, 2, 2, 2, 2, 2, 4, 4, 4, 4]),
+    "exhaust": (hand_pair(2, {1: 2 / 9, 2: 3 / 9, 3: 3 / 9, 6: 1 / 9}), 5, 6, "would exhaust"),
+}
 
 
 def instance_from_checks(k, checks):
@@ -519,6 +541,44 @@ class TestInstantiate:
         # two bits, one pilot, one outer parity
         with pytest.raises(ConstructionError, match="no information bits"):
             instantiate(self_matched_ara(0.5, order=64), k=2, d_L=2, d_R=12, m_outer=1, seed=0)
+
+    @pytest.mark.parametrize("name", REPAIR_CASES)
+    def test_socket_repair(self, name):
+        pair, k, d_R, expected = REPAIR_CASES[name]
+        if isinstance(expected, str):
+            with pytest.raises(ConstructionError, match=expected):
+                instantiate(pair, k=k, d_L=8, d_R=d_R)
+        else:
+            assert sorted(instantiate(pair, k=k, d_L=8, d_R=d_R).check_degrees.tolist()) == expected
+
+    def test_outputs_match_pinned_digest(self):
+        """Every array of a fixed grid of instances, and every error it raises,
+        hashed: a rewrite of instantiate must keep each one bit for bit.  A
+        change that moves an instance on purpose updates the pin."""
+        digest = hashlib.sha256()
+        grid = [
+            (pair, dict(k=k, d_L=d_L, d_R=d_R, m_outer=m_outer, seed=seed))
+            for pair in (self_matched_ara(0.5, order=64), self_matched_ara(0.5, order=256))
+            for k, d_L, d_R, m_outer, seed in itertools.product(
+                (6, 16, 257, 8192), (3, 12, 30), (3, 12, 30), (0, 4, 13), (0, 1)
+            )
+        ] + [
+            (pair, dict(k=k, d_L=8, d_R=d_R, seed=seed))
+            for pair, k, d_R, _ in REPAIR_CASES.values()
+            for seed in (0, 1)
+        ]
+        for pair, kwargs in grid:
+            try:
+                inst = instantiate(pair, **kwargs)
+            except (ConstructionError, InvalidParameterError) as exc:
+                digest.update(f"{type(exc).__name__}: {exc};".encode())
+                continue
+            digest.update(f"k={inst.k};".encode())
+            for field in dataclasses.fields(inst)[1:]:
+                arr = getattr(inst, field.name)
+                digest.update(f"{field.name} {arr.dtype.str} {arr.shape} {arr.flags.writeable};".encode())
+                digest.update(arr.tobytes())
+        assert digest.hexdigest()[:16] == "a7f484d9b99b2306"
 
 
 class TestEncode:

@@ -20,7 +20,7 @@ GONE = {
         "matched_cubic_edge_series", "solve_check_from_bit", "CheckSideSolution",
     ],
     nonneg: ["verify_bitreg_ara", "verify_checkreg_nsira", "self_matched_condition"],
-    powerseries: ["binomial_series", "t_operator"],
+    powerseries: ["binomial_series", "t_operator", "truncate_check", "truncate_bit"],
     sim: ["make_puncture_mask"],
 }
 

@@ -14,8 +14,6 @@ from aracodes.powerseries import (
     edge_from_node,
     node_from_edge,
     reciprocal,
-    truncate_bit,
-    truncate_check,
 )
 
 from oracles import binomial_series, full_horner, t_operator
@@ -194,52 +192,6 @@ class TestMatchingTransform:
     def test_decreasing_rejected(self):
         with pytest.raises(InvalidInputError):
             t_operator(lambda x: 1 - x)
-
-
-class TestTruncation:
-    def test_check_no_tail_unchanged(self):
-        rho = PowerSeries([0.1, 0.5, 0.4])
-        out = truncate_check(rho, 5)
-        assert np.allclose(out.coeffs[:3], rho.coeffs)
-        assert abs(out.coeffs.sum() - 1.0) < 1e-14
-
-    def test_check_moves_tail_to_degree_one(self):
-        # degrees 1, 5, 10 with masses .5/.3/.2; cap at 5
-        rho = PowerSeries([0.5, 0, 0, 0, 0.3, 0, 0, 0, 0, 0.2])
-        out = truncate_check(rho, 5)
-        assert out.order == 4
-        assert out.coeffs[0] == pytest.approx(0.7, abs=1e-14)
-        assert out.coeffs[4] == pytest.approx(0.3, abs=1e-14)
-        assert abs(out.coeffs.sum() - 1.0) < 1e-14
-
-    def test_check_dominates_pointwise(self):
-        rho = PowerSeries([0.0, 0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
-        out = truncate_check(rho, 4)
-        xs = np.linspace(0.0, 0.999, 50)
-        padded = out(xs)
-        assert np.all(padded > rho(xs) - 1e-15)
-
-    def test_bit_no_tail(self):
-        lam = PowerSeries([0.0, 0.5, 0.5])
-        out = truncate_bit(lam, 5)
-        assert np.allclose(out.coeffs[:3], lam.coeffs)
-
-    def test_bit_drops_tail_mass(self):
-        lam = np.zeros(100)
-        lam[1] = 0.9
-        lam[99] = 0.1
-        out = truncate_bit(PowerSeries(lam), 50)
-        assert out.order == 49
-        xs = np.linspace(0.8, 1.0, 20)  # dropped-term contribution resolvable here
-        assert np.all(out(xs) < PowerSeries(lam)(xs))
-
-    def test_self_matched_truncation_depth(self):
-        from aracodes.constructions import self_matched_ara
-
-        pair = self_matched_ara(0.5, b=0.9304, order=256)
-        rho_hat = truncate_check(pair.check.edge, 29)
-        assert rho_hat.coeffs[0] < 0.05
-        assert float(pair.bit.node.coeffs[30:].sum()) < 0.05  # bits above degree 29 become pilots
 
 
 class TestDegreePair:

@@ -377,6 +377,64 @@ class TestSymmetrySwap:
         assert np.max(np.abs(orig - mirrored)) < 1e-9
 
 
+def same_edges_pair(edge):
+    """ARA pair whose bit and check sides both have the edge series ``edge``."""
+    side = DegreeDistribution.from_edge(edge)
+    return DegreePair(bit=side, check=side, family="ARA", p=0.5)
+
+
+class TestTruncation:
+    """truncate_pair moves the check side's mass above the cut onto degree 1;
+    chop_pair drops a side's mass above it, as truncate_pair does on the bit side."""
+
+    def test_check_no_tail_unchanged(self):
+        rho = PowerSeries([0.1, 0.5, 0.4])
+        out = truncate_pair(same_edges_pair(rho), 5).check.edge
+        assert np.allclose(out.coeffs[:3], rho.coeffs)
+        assert abs(out.coeffs.sum() - 1.0) < 1e-14
+
+    def test_check_moves_tail_to_degree_one(self):
+        # degrees 1, 5, 10 with masses .5/.3/.2; cap at 5
+        rho = PowerSeries([0.5, 0, 0, 0, 0.3, 0, 0, 0, 0, 0.2])
+        out = truncate_pair(same_edges_pair(rho), 5).check.edge
+        assert out.order == 4
+        assert out.coeffs[0] == pytest.approx(0.7, abs=1e-14)
+        assert out.coeffs[4] == pytest.approx(0.3, abs=1e-14)
+        assert abs(out.coeffs.sum() - 1.0) < 1e-14
+
+    def test_check_dominates_pointwise(self):
+        rho = PowerSeries([0.0, 0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+        out = truncate_pair(same_edges_pair(rho), 4).check.edge
+        xs = np.linspace(0.0, 0.999, 50)
+        padded = out(xs)
+        assert np.all(padded > rho(xs) - 1e-15)
+
+    def test_bit_no_tail(self):
+        lam = PowerSeries([0.0, 0.5, 0.5])
+        out = chop_pair(same_edges_pair(lam), 5).bit.edge
+        assert np.allclose(out.coeffs[:3], lam.coeffs)
+
+    def test_bit_drops_tail_mass(self):
+        lam = np.zeros(100)
+        lam[1] = 0.9
+        lam[99] = 0.1
+        out = chop_pair(same_edges_pair(PowerSeries(lam)), 50).bit.edge
+        assert out.order == 49
+        xs = np.linspace(0.8, 1.0, 20)  # dropped-term contribution resolvable here
+        assert np.all(out(xs) < PowerSeries(lam)(xs))
+
+    def test_self_matched_truncation_depth(self):
+        pair = cons.self_matched_ara(0.5, b=0.9304, order=256)
+        rho_hat = truncate_pair(pair, 29).check.edge
+        assert rho_hat.coeffs[0] < 0.05
+        assert float(pair.bit.node.coeffs[30:].sum()) < 0.05  # bits above degree 29 become pilots
+
+    @pytest.mark.parametrize("cut", [truncate_pair, chop_pair])
+    def test_max_degree_below_two_rejected(self, cut):
+        with pytest.raises(InvalidParameterError, match="max_degree must be at least 2"):
+            cut(cons.self_matched_ara(0.5, order=64), 1)
+
+
 class TestThresholdSearch:
     def test_untruncated_reaches_design_p(self):
         pair = cons.self_matched_ara(0.5, order=256)
