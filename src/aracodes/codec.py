@@ -121,6 +121,24 @@ class CodeInstance:
         return self.k - len(self.pilot_set) - self.m_outer
 
     @functools.cached_property
+    def sock_check(self) -> np.ndarray:
+        """The check of each socket, in socket order.  No received word
+        changes it; built on first use, read-only."""
+        checks = np.repeat(np.arange(self.n_checks), self.check_degrees)
+        checks.flags.writeable = False
+        return checks
+
+    @functools.cached_property
+    def info_mask(self) -> np.ndarray:
+        """Where the information bits sit: every position that is neither a
+        pilot nor in the outer-coded tail.  Built on first use, read-only."""
+        mask = np.ones(self.k, dtype=bool)
+        mask[self.pilot_set] = False
+        mask[self.k - self.m_outer :] = False
+        mask.flags.writeable = False
+        return mask
+
+    @functools.cached_property
     def ml_rows(self) -> np.ndarray:
         """``ml_reference_decode``'s rows over the k punctured-bit columns:
         accumulators, check sockets (repeats cancel), pilots and [outer_P | I].
@@ -128,7 +146,7 @@ class CodeInstance:
         k, mc, m, pilots = self.k, self.n_checks, self.m_outer, self.pilot_set
         rows = np.zeros((k + mc + len(pilots) + m, k), dtype=np.uint8)
         rows[:k] = np.eye(k, dtype=np.uint8) + np.eye(k, k=-1, dtype=np.uint8)
-        np.bitwise_xor.at(rows, (k + np.repeat(np.arange(mc), self.check_degrees), self.edge_targets), 1)
+        np.bitwise_xor.at(rows, (k + self.sock_check, self.edge_targets), 1)
         rows[k + mc + np.arange(len(pilots)), pilots] = 1
         rows[len(rows) - m :] = np.hstack([self.outer_P, np.eye(m, dtype=np.uint8)])
         rows.flags.writeable = False
@@ -213,9 +231,7 @@ def instantiate(
     if int(check_degrees.sum()) != n_edges:
         raise ConstructionError("socket counts failed to match after repair")
 
-    perm = rng.permutation(n_edges)
-    bit_sockets = np.repeat(np.arange(k), bit_degrees)
-    edge_targets = bit_sockets[perm]
+    edge_targets = rng.permutation(np.repeat(np.arange(k), bit_degrees))
     check_offsets = np.concatenate([[0], np.cumsum(check_degrees)])
 
     outer_P = rng.integers(0, 2, size=(m_outer, k - m_outer), dtype=np.uint8)
@@ -263,11 +279,8 @@ def encode(inst: CodeInstance, info: np.ndarray) -> Codeword:
     # punctured-bit prefix within each pilot-delimited segment
     pilot_mask = np.zeros(k, dtype=bool)
     pilot_mask[pilots] = True
-    carry_positions = ~pilot_mask
-    if m:
-        carry_positions[k - m :] = False
     u_work = np.zeros(k, dtype=np.uint8)
-    u_work[carry_positions] = info
+    u_work[inst.info_mask] = info
     prefix = np.bitwise_xor.accumulate(u_work)
     # position j restarts from the prefix at the last pilot at or before it
     seg_start = np.concatenate([[0], prefix[pilots]]).astype(np.uint8)
@@ -348,12 +361,11 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
     # check i joins the group closed by the first observed parity bit at or
     # after it; the sockets of a trailing unclosed group are dropped
     observed_z = z_vals >= 0
-    zo = z_vals[observed_z].astype(np.uint8)
-    grp_end = inst.check_offsets[1:][observed_z]  # one past each group's last socket
+    # gather by index: a boolean index over a random mask is several times slower
+    observed = observed_z.nonzero()[0]
+    zo = z_vals[observed].astype(np.uint8)
+    grp_end = inst.check_offsets[1:][observed]  # one past each group's last socket
     closed = inst.edge_targets[: grp_end[-1] if len(zo) else 0]
-    grp_size = grp_end.copy()
-    grp_size[1:] -= grp_end[:-1]
-    sock_grp = np.repeat(np.arange(len(zo)), grp_size)
     # group g's syndrome is z_g ^ z_{g-1} ^ the xor of its sockets' constants
     # (unknown classes hold 0): t_g ^ t_{g-1} for t = zo ^ a socket prefix
     sock_prefix = np.zeros(len(closed) + 1, dtype=np.uint8)
@@ -364,13 +376,20 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
 
     # unknown-class incidences cancelled mod 2: pack (class, group) into one
     # key that sorts like the pair, and keep one key of each odd-length run;
-    # known classes take the top key, so they sort into a tail that is cut off
+    # known classes take the top key, so they sort into a tail that is cut off.
+    # The keys are uint32 whenever every pair fits below the top one, which
+    # halves what the sort moves.
     s = len(zo).bit_length()
-    top = np.iinfo(np.int64).max
-    cls_key = np.where(known, top, np.arange(n_classes, dtype=np.int64) << s)
-    keys = cls_key[cls][closed] | sock_grp
+    key_type, top = (np.uint32, (1 << 32) - 1) if n_classes << s < 1 << 32 else (np.int64, (1 << 63) - 1)
+    cls_key = np.arange(n_classes, dtype=key_type) << s
+    cls_key[known] = top
+    # a check's group is the number of observed parity bits before it
+    chk_grp = np.zeros(len(z_vals), dtype=key_type)
+    np.add.accumulate(observed_z[:-1], dtype=key_type, out=chk_grp[1:])
+    keys = cls_key[cls][closed]
+    keys |= chk_grp[inst.sock_check[: len(closed)]]
     keys.sort()
-    keys = keys[: np.searchsorted(keys, top)]
+    keys = keys[: keys.searchsorted(top)]
     # edge[i]: key i opens a run, or i is one past the end of the keys
     edge = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
@@ -384,8 +403,8 @@ def graph_reduce_instance(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGrap
         known=known,
         vals=vals,
         grp_syndrome=grp_syndrome,
-        inc_grp=odd & ((1 << s) - 1),
-        inc_cls=odd >> s,
+        inc_grp=np.bitwise_and(odd, (1 << s) - 1, dtype=np.int64),
+        inc_cls=np.right_shift(odd, s, dtype=np.int64),
     )
 
 
@@ -517,18 +536,13 @@ def decode(inst: CodeInstance, rcv: ReceivedWord) -> DecodeResult:
     unresolved = float(np.count_nonzero(~v_known)) / max(inst.k, 1)
 
     # an info bit is lost when it was erased and its flanking states differ
-    k, m = inst.k, inst.m_outer
     erased_u = rcv.u_vals < 0
     u_lost = erased_u & ~v_known
     u_lost[1:] |= erased_u[1:] & ~v_known[:-1]
-    info_mask = np.ones(k, dtype=bool)
-    info_mask[inst.pilot_set] = False
-    if m:
-        info_mask[k - m :] = False
-    peel_failures = int(np.count_nonzero(u_lost & info_mask))
+    peel_failures = int(np.count_nonzero(u_lost & inst.info_mask))
 
     peeled = bool(rg.known.all())
-    rescued = not peeled and m > 0 and outer_decode(rg, inst)
+    rescued = not peeled and inst.m_outer > 0 and outer_decode(rg, inst)
     success = peeled or rescued
     v_vals = np.where(rg.known[rg.cls], rg.vals[rg.cls] ^ rg.off, -1).astype(np.int8)
     return DecodeResult(

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
 import functools
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -163,6 +162,30 @@ def _trial_batch(
     return word_fails, rescued, unresolved_sum, bit_fails, peel_bit_fails
 
 
+# glibc's mallopt parameter numbers (malloc.h) and the value both are raised to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_THRESHOLD = 32 << 20  # mallopt(3)'s upper limit for the mmap threshold on 64-bit
+
+
+@functools.cache
+def _raise_malloc_thresholds() -> None:
+    """Keep freed trial arrays in the process, once per process.
+
+    By default glibc maps each large array afresh and hands freed memory
+    back to the kernel, so every large-k trial faults its working arrays in
+    again.  Raising the trim and mmap thresholds keeps them on the heap for
+    the next trial.  The setting outlives the sweep; where the C library
+    has no ``mallopt``, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+
+
 def _worker_count(cfg: SimConfig) -> int:
     if cfg.workers > 0:
         return cfg.workers
@@ -184,11 +207,14 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     The code is built once, at ``design_p``, before the first trial, and
     the channel alone varies.  A build error propagates: only ARA families
     have a finite-length realization, so ``codec.instantiate`` rejects any
-    other family.
+    other family.  The first sweep of a process, and each pool worker,
+    raises the C allocator's trim and mmap thresholds, and the setting
+    stays after the sweep returns.
     """
     t_start = time.perf_counter()
     result = SimResult(config=cfg)
     workers = _worker_count(cfg)
+    _raise_malloc_thresholds()
     pair = build_catalog_pair(cfg.family, cfg.design_p, b=cfg.b, order=cfg.order, allow_unproven=cfg.allow_unproven)
     inst = codec.instantiate(pair, cfg.k, d_L=cfg.d_L, d_R=cfg.d_R, m_outer=cfg.m_outer, seed=cfg.seed)
 
@@ -196,11 +222,16 @@ def run_sweep(cfg: SimConfig) -> SimResult:
     use_pool = workers > 1 and cfg.trials >= 2 * workers
     n_parts = workers if use_pool else 1
     bounds = np.linspace(0, cfg.trials, n_parts + 1).astype(int)
-    pool = (
-        ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-        if use_pool
-        else contextlib.nullcontext()
-    )
+    if use_pool:
+        # the pool modules load only here, so importing the package skips them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn"), initializer=_raise_malloc_thresholds
+        )
+    else:
+        pool = contextlib.nullcontext()
     n, info_bits = cfg.trials, cfg.trials * inst.info_len
     with pool:
         run = pool.map if use_pool else map

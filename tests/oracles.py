@@ -5,6 +5,7 @@ formula that only the tests read:
 
 * a full-length Horner evaluation, an exhaustive codeword check, and text
   forms of codec objects;
+* the graph reduction with per-word group ids and int64 keys;
 * the mass a pair's truncated series miss;
 * the matching transform by bisection, and the check-side solver built on
   it, a pointwise route to the matched image that no family builds with;
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from aracodes.codec import CodeInstance, Codeword, ReceivedWord
+from aracodes.codec import CodeInstance, Codeword, ReceivedWord, ResidualGraph
 from aracodes.constructions import _alpha, _image_fns, _polynomial_bit_side, matched_check_node_series
 from aracodes.powerseries import (
     DEFAULT_ORDER, DegreePair, InvalidInputError, InvalidParameterError, NumericDomainError, PowerSeries,
@@ -88,6 +89,60 @@ def instance_descriptor(inst: CodeInstance) -> str:
         "outer_shape": list(inst.outer_P.shape),
     }
     return json.dumps(doc)
+
+
+def reference_reduce(inst: CodeInstance, rcv: ReceivedWord) -> ResidualGraph:
+    """``graph_reduce_instance`` as it was before the instance's socket-to-check
+    map and the uint32 keys: each word repeats its group ids out of the
+    group sizes, and every key is int64."""
+    k = inst.k
+    u_vals, z_vals = rcv.u_vals, rcv.z_vals
+    erased_u = u_vals < 0
+
+    cls = np.add.accumulate(erased_u, dtype=np.int64)
+    n_classes = int(cls[-1]) + 1 if k else 1
+    prefix = np.bitwise_xor.accumulate(np.maximum(u_vals, 0).view(np.uint8))
+    starts = erased_u.nonzero()[0]
+    base = np.zeros(n_classes, dtype=np.uint8)
+    if len(starts):
+        base[1:] = prefix[starts]
+    off = prefix ^ base[cls]
+
+    known = np.zeros(n_classes, dtype=bool)
+    vals = np.zeros(n_classes, dtype=np.uint8)
+    known[0] = True
+    pc = cls[inst.pilot_set]
+    known[pc] = True
+    vals[pc] = off[inst.pilot_set]
+
+    observed_z = z_vals >= 0
+    zo = z_vals[observed_z].astype(np.uint8)
+    grp_end = inst.check_offsets[1:][observed_z]
+    closed = inst.edge_targets[: grp_end[-1] if len(zo) else 0]
+    grp_size = grp_end.copy()
+    grp_size[1:] -= grp_end[:-1]
+    sock_grp = np.repeat(np.arange(len(zo)), grp_size)
+    sock_prefix = np.zeros(len(closed) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate((off ^ vals[cls])[closed], out=sock_prefix[1:])
+    t = zo ^ sock_prefix[grp_end]
+    grp_syndrome = t.copy()
+    grp_syndrome[1:] ^= t[:-1]
+
+    s = len(zo).bit_length()
+    top = np.iinfo(np.int64).max
+    cls_key = np.where(known, top, np.arange(n_classes, dtype=np.int64) << s)
+    keys = cls_key[cls][closed] | sock_grp
+    keys.sort()
+    keys = keys[: np.searchsorted(keys, top)]
+    edge = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    odd = keys[bounds[:-1][(bounds[1:] - bounds[:-1]) & 1 == 1]]
+
+    return ResidualGraph(
+        n_classes=n_classes, cls=cls, off=off, known=known, vals=vals, grp_syndrome=grp_syndrome,
+        inc_grp=odd & ((1 << s) - 1), inc_cls=odd >> s,
+    )
 
 
 def tail_mass(pair: DegreePair) -> float:

@@ -31,6 +31,7 @@ from oracles import (
     instance_descriptor,
     received_from_string,
     received_to_string,
+    reference_reduce,
 )
 
 
@@ -419,6 +420,27 @@ class TestMLReference:
         assert inst == twin
         assert "ml_rows" not in {f.name for f in dataclasses.fields(inst)}
 
+    @pytest.mark.parametrize("name", ["sock_check", "info_mask"])
+    def test_word_independent_arrays_are_read_only(self, name):
+        inst = instantiate(self_matched_ara(0.5, order=64), k=16, d_L=12, d_R=12, m_outer=3, seed=4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inst, name)[0] ^= 1
+
+    def test_instantiate_builds_no_cached_array(self):
+        inst = instantiate(self_matched_ara(0.5, order=64), k=16, d_L=3, d_R=12, m_outer=2, seed=3)
+        assert not {"ml_rows", "sock_check", "info_mask"} & set(vars(inst))
+        decode(inst, erase(encode(inst, np.zeros(inst.info_len, dtype=np.uint8)), np.random.default_rng(1), 0.4))
+        assert {"sock_check", "info_mask"} <= set(vars(inst)) and "ml_rows" not in vars(inst)
+
+    @pytest.mark.parametrize("name", ["sock_check", "info_mask"])
+    def test_instance_equality_ignores_the_word_independent_arrays(self, name):
+        inst = instantiate(self_matched_ara(0.5, order=64), k=16, d_L=12, d_R=12, m_outer=3, seed=4)
+        twin = copy.copy(inst)  # shares the arrays, not the cache
+        getattr(inst, name)
+        assert name in vars(inst) and name not in vars(twin)
+        assert inst == twin
+        assert name not in {f.name for f in dataclasses.fields(inst)}
+
     # name -> (instance builder, what the instance must show)
     EDGE_INSTANCES = {
         "outer": (lambda: instantiate(self_matched_ara(0.5, order=64), k=16, d_L=12, d_R=12,
@@ -450,6 +472,16 @@ class TestMLReference:
                 unique, v = self.check_against_loop(systems, inst, erase(cw, rng, p))
                 if unique:
                     assert np.array_equal(v, v_true)
+
+    @pytest.mark.parametrize("name", list(EDGE_INSTANCES))
+    def test_word_independent_arrays_follow_their_definition(self, name):
+        inst = self.EDGE_INSTANCES[name][0]()
+        checks = [i for i, d in enumerate(inst.check_degrees.tolist()) for _ in range(d)]
+        assert inst.sock_check.dtype == np.int64 and inst.sock_check.tolist() == checks
+        pilots = set(inst.pilot_set.tolist())
+        info = [j not in pilots and j < inst.k - inst.m_outer for j in range(inst.k)]
+        assert inst.info_mask.dtype == bool and inst.info_mask.tolist() == info
+        assert np.count_nonzero(inst.info_mask) == inst.info_len
 
 
 class TestQuantization:
@@ -660,6 +692,41 @@ class TestGraphReduction:
         v = np.cumsum(cw.u) & 1
         offs = v ^ v[0]
         assert np.array_equal(rg.off, offs)
+
+    @staticmethod
+    def assert_same_residual(rg, ref):
+        for field in dataclasses.fields(ref):
+            got, want = getattr(rg, field.name), getattr(ref, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            else:
+                assert type(got) is type(want) and got == want, field.name
+
+    def test_matches_reference_reduce_at_small_k(self):
+        # with and without pilots and an outer code, over the whole erasure range
+        pair = self_matched_ara(0.5, order=64)
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            k = int(rng.integers(6, 97))
+            inst = instantiate(pair, k=k, d_L=int(rng.choice([3, 12])), d_R=12, m_outer=int(rng.integers(0, 4)),
+                               seed=int(rng.integers(1 << 30)))
+            cw = encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8))
+            for p in (0.05, 0.3, 0.6, 0.9):
+                rcv = erase(cw, rng, p)
+                self.assert_same_residual(graph_reduce_instance(inst, rcv), reference_reduce(inst, rcv))
+
+    @pytest.mark.parametrize("k, fits_uint32", [(65536, True), (131072, False)])
+    def test_matches_reference_reduce_at_both_key_widths(self, k, fits_uint32):
+        # the keys are uint32 while (class count << group bits) fits, int64 beyond
+        inst = instantiate(self_matched_ara(0.5, order=256), k=k, d_L=30, d_R=30, m_outer=13, seed=5)
+        rng = np.random.default_rng(k)
+        cw = encode(inst, rng.integers(0, 2, inst.info_len, dtype=np.uint8))
+        for p in (0.40, 0.48):
+            rcv = erase(cw, rng, p)
+            n_classes = int(np.count_nonzero(rcv.u_vals < 0)) + 1
+            group_bits = int(np.count_nonzero(rcv.z_vals >= 0)).bit_length()
+            assert (n_classes << group_bits < 1 << 32) == fits_uint32
+            self.assert_same_residual(graph_reduce_instance(inst, rcv), reference_reduce(inst, rcv))
 
 
 class TestPeeling:

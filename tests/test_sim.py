@@ -1,11 +1,18 @@
+import ctypes
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aracodes import codec
+from aracodes import codec, sim
 from aracodes.constructions import self_matched_ara
 from aracodes.powerseries import InvalidParameterError
 from aracodes.sim import (
@@ -205,6 +212,89 @@ class TestSweep:
         parallel = run_sweep(small_config(workers=2, **cfg))
         assert len(serial.rows()) == 2
         assert serial.rows() == parallel.rows()
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def run_probe(probe: str) -> dict:
+    """Run a script in a fresh interpreter on this checkout; returns its last line as JSON."""
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+class TestAllocator:
+    @pytest.mark.skipif(not libc_has_mallopt(), reason="the C library has no mallopt")
+    def test_warm_large_sweep_takes_few_page_faults(self):
+        # the benchmark's k = 65536 configuration; the first sweep warms the heap
+        resource = pytest.importorskip("resource")
+        cfg = SimConfig(family="self-matched-ara", design_p=0.5, p_start=0.46, p_stop=0.46, p_step=1.0,
+                        k=65536, trials=8, seed=5, m_outer=13, workers=1)
+        run_sweep(cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_sweep(cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 50 * cfg.trials, faults
+
+    def test_rows_unchanged_without_mallopt(self, monkeypatch):
+        cfg = small_config(trials=10)
+        rows = run_sweep(cfg).rows()
+        looked_up = []
+
+        def libc_without_mallopt(*args, **kwargs):
+            looked_up.append(args)
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", libc_without_mallopt)
+        sim._raise_malloc_thresholds.cache_clear()
+        try:
+            assert run_sweep(cfg).rows() == rows
+        finally:
+            sim._raise_malloc_thresholds.cache_clear()
+        assert looked_up
+
+    def test_import_never_calls_mallopt(self):
+        # a spy C library records every mallopt call: none at import, two at
+        # the first sweep set-up of the process and none after it
+        state = run_probe("""
+            import ctypes, json
+            import numpy  # loaded before the spy replaces ctypes.CDLL
+            calls = []
+
+            class Mallopt:
+                def __call__(self, param, value):
+                    calls.append([param, value])
+                    return 1
+
+            class Libc:
+                def __init__(self, *args, **kwargs):
+                    self.mallopt = Mallopt()
+
+            ctypes.CDLL = Libc
+            import aracodes, aracodes.cli, aracodes.codec, aracodes.sim
+            at_import = list(calls)
+            aracodes.sim._raise_malloc_thresholds()
+            aracodes.sim._raise_malloc_thresholds()
+            print(json.dumps({"at_import": at_import, "after": calls}))
+        """)
+        assert state == {"at_import": [], "after": [[-1, 32 << 20], [-3, 32 << 20]]}
+
+    def test_import_leaves_out_the_pool_modules(self):
+        # the process pool's modules load only when a sweep starts a pool
+        state = run_probe("""
+            import json, sys
+            import aracodes.cli
+            print(json.dumps({m: m in sys.modules for m in ("multiprocessing", "concurrent.futures")}))
+        """)
+        assert state == {"multiprocessing": False, "concurrent.futures": False}
 
 
 class TestCsv:
